@@ -1,9 +1,11 @@
 """Command-line surface: nine verbs over JSON object files.
 
 Exit codes: 0 for success or a positive verdict, 1 for a negative verdict,
-2 for input or usage problems. LIMITALG_TOL overrides the default 1e-9
-tolerance; --output additionally writes the report to a file. Reports are
-canonical JSON on standard output, deterministic for fixed input.
+2 for input or usage problems, 3 when an internal self-check fails (a bug
+in limitalg, not bad input); 2 and 3 both print an error payload.
+LIMITALG_TOL overrides the default 1e-9 tolerance; --output additionally
+writes the report to a file. Reports are canonical JSON on standard output,
+deterministic for fixed input.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ import numpy as np
 from . import io as iolib
 from .conjugacy import conjugacy_class, standard_witness
 from .core import cycle_flagged_classes
-from .detect import (close_conjugacy, is_regular, summand_census,
-                     test_product, threshold_constant)
+from .detect import (close_conjugacy, is_regular, standard_census,
+                     summand_census, test_product, threshold_constant)
 from .dimmod import EQUAL, equal_up_to_stage, limit_presentation
-from .errors import (CensusMismatch, InconsistentRanks, LimitalgError,
-                     NotInnerEquivalent, NotRegular, ResidualTooLarge,
-                     TooFarApart, TriangleNotCommuting, UsageError)
+from .errors import (CensusMismatch, InconsistentRanks, InternalError,
+                     LimitalgError, NotInnerEquivalent, NotRegular,
+                     ResidualTooLarge, TooFarApart, TriangleNotCommuting,
+                     UsageError)
 from .homs import DEFAULT_TOL, StandardRegularMap, Unitary, to_numeric
 from .intertwine import approx_intertwine, exact_intertwine
 from .spectrum import cylinder_relation, path_space, relation_isomorphic_at_depth
@@ -86,6 +89,13 @@ def _load_map(path: str, name, tol: float):
     return iolib.load_object(path, "map", name=name, default_tol=tol)
 
 
+def _census(m):
+    """Exact census for a standard map, test products for a numeric one."""
+    if isinstance(m, StandardRegularMap):
+        return standard_census(m)
+    return summand_census(m)
+
+
 def _require_standard(m, what: str) -> StandardRegularMap:
     if not isinstance(m, StandardRegularMap):
         raise UsageError(f"{what} needs a standard map; "
@@ -141,13 +151,13 @@ def _cmd_conjugacy(ns, tol: float):
         report["witness"] = iolib.encode_unitary(
             Unitary(lhs.target.n, [w]))
         return 0, report
-    l_n = to_numeric(lhs) if isinstance(lhs, StandardRegularMap) else lhs
-    r_n = to_numeric(rhs) if isinstance(rhs, StandardRegularMap) else rhs
-    for side, m in (("lhs", l_n), ("rhs", r_n)):
+    for side, m in (("lhs", lhs), ("rhs", rhs)):
         try:
-            report[f"{side}_census"] = summand_census(m).as_payload()
+            report[f"{side}_census"] = _census(m).as_payload()
         except LimitalgError as exc:
             report[f"{side}_census"] = {"error": _error_payload(exc)}
+    l_n = to_numeric(lhs) if isinstance(lhs, StandardRegularMap) else lhs
+    r_n = to_numeric(rhs) if isinstance(rhs, StandardRegularMap) else rhs
     try:
         u = close_conjugacy(l_n, r_n)
     except _VERDICT_ERRORS as exc:
@@ -163,7 +173,7 @@ def _cmd_standardize(ns, tol: float):
     m = _load_map(ns.map, ns.name, tol)
     if isinstance(m, StandardRegularMap):
         return 0, {"regular": True, "residual": 0.0, "tolerance": tol,
-                   "census": summand_census(to_numeric(m)).as_payload(),
+                   "census": _census(m).as_payload(),
                    "standard_form": iolib.encode_standard_map(m),
                    "unitary": iolib.encode_unitary(Unitary(m.target.n, []))}
     cert = is_regular(m, tol=max(m.tolerance, tol))
@@ -210,9 +220,9 @@ def _cmd_intertwine(ns, tol: float):
 
 def _cmd_detect(ns, tol: float):
     phi = _load_map(ns.map, ns.name, tol)
-    phi_n = to_numeric(phi) if isinstance(phi, StandardRegularMap) else phi
-    c = threshold_constant(phi_n.source)
+    c = threshold_constant(phi.source)
     if ns.against:
+        phi_n = to_numeric(phi) if isinstance(phi, StandardRegularMap) else phi
         alpha_map = _require_standard(_load_map(ns.against, None, tol),
                                       "detect --against")
         if (alpha_map.source != phi_n.source
@@ -225,7 +235,7 @@ def _cmd_detect(ns, tol: float):
         report.update({"threshold": c, "tolerance": tol})
         return (0 if result.present else 1), report
     try:
-        census = summand_census(phi_n)
+        census = _census(phi)
     except InconsistentRanks as exc:
         return 1, {"census": None, "reason": _error_payload(exc),
                    "threshold": c, "tolerance": tol}
@@ -238,7 +248,7 @@ def _cmd_regular_test(ns, tol: float):
     phi = _load_map(ns.map, ns.name, tol)
     c = threshold_constant(phi.source)
     if isinstance(phi, StandardRegularMap):
-        census = summand_census(to_numeric(phi))
+        census = _census(phi)
         return 0, {"regular": True, "threshold": c, "tolerance": tol,
                    "class_multiset": [[list(p) for p in key]
                                       for key in census.multiset()],
@@ -394,7 +404,9 @@ def _dispatch(ns) -> tuple:
         tol = _tolerance()
         return _HANDLERS[ns.verb](ns, tol)
     except (json.JSONDecodeError, OSError, ValueError) as exc:
-        return 2, {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        return 2, {"error": _error_payload(exc)}
+    except InternalError as exc:
+        return 3, {"error": _error_payload(exc)}
     except LimitalgError as exc:
         # anything not already converted to a verdict by the handler is an
         # input problem at this surface

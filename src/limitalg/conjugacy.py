@@ -13,11 +13,13 @@ from typing import Optional, Sequence
 from .core import (DigraphAlgebra, PermutationUnitary,
                    StandardPartialIsometry, StandardProjection, projection,
                    rank_profile)
-from .errors import (NotInnerEquivalent, NotRegular, ProfileMismatch,
-                     SourceTargetMismatch, TriangleNotCommuting)
-from .homs import (StandardRegularMap, Unitary, compose, conjugate_standard,
-                   map_distance, numeric_compose, same_action, strictify,
-                   to_numeric)
+from .detect import is_regular
+from .errors import (InternalError, NotInnerEquivalent, NotRegular,
+                     ProfileMismatch, SourceTargetMismatch,
+                     TriangleNotCommuting)
+from .homs import (DEFAULT_TOL, NumericStarMap, StandardRegularMap, Unitary,
+                   compose, conjugate_standard, map_distance,
+                   numeric_compose, same_action, strictify, to_numeric)
 
 
 def _coerce_projections(family: Sequence, a: DigraphAlgebra) -> list:
@@ -144,7 +146,7 @@ def standard_witness(phi1: StandardRegularMap, phi2: StandardRegularMap,
             phases[x] = 1.0 + 0.0j
     v = StandardPartialIsometry(a2, pairs, phases)
     if not same_action(conjugate_standard(phi1, v), phi2):
-        raise AssertionError("witness construction failed to verify")
+        raise InternalError("witness construction failed to verify")
     return v
 
 
@@ -178,53 +180,31 @@ def restandardize_triangle(theta: StandardRegularMap,
     a numeric phi2 is first standardized through the regularity decision.
     Returns (U, phi2_std). When theta and phi1 are strict, so is phi2_std.
     """
-    from .homs import NumericStarMap
-    n3 = theta.target.n
+    if phi2.source != phi1.target or phi2.target != theta.target:
+        raise SourceTargetMismatch("triangle algebras do not line up")
+    # first standard form b0 of phi2, with the factors of Ad(lead) phi2 = b0
     if isinstance(phi2, NumericStarMap):
-        return _restandardize_numeric(theta, phi1, phi2)
-    if phi2.source != phi1.target or phi2.target != theta.target:
-        raise SourceTargetMismatch("triangle algebras do not line up")
-    if not same_action(compose(phi2, phi1), theta):
-        resid = map_distance(compose(phi2, phi1), theta)
-        raise TriangleNotCommuting(resid)
-    strict2, d = strictify(phi2)
-    g = compose(strict2, phi1)
-    v0 = standard_witness(g, theta)
-    b = conjugate_standard(strict2, v0)
-    factors = [v0, d]
-    if not b.is_strict and theta.is_strict and phi1.is_strict:
-        b, strip = strictify(b)
-        factors.insert(0, strip)
-    out = Unitary(n3, factors)
-    if not same_action(compose(b, phi1), theta):
-        raise AssertionError("restandardization failed to verify")
-    return out, b
-
-
-def _restandardize_numeric(theta, phi1, phi2):
-    from .detect import is_regular
-    from .homs import DEFAULT_TOL
-    if phi2.source != phi1.target or phi2.target != theta.target:
-        raise SourceTargetMismatch("triangle algebras do not line up")
-    tol = max(phi2.tolerance, DEFAULT_TOL)
-    theta_n = to_numeric(theta)
-    resid = map_distance(numeric_compose(phi2, to_numeric(phi1)), theta_n)
-    if resid > tol:
-        raise TriangleNotCommuting(resid)
-    cert = is_regular(phi2)
-    if not cert.regular:
-        raise NotRegular(reason="numeric map is not regular",
-                         residual_rank=cert.residual_rank)
-    b0 = cert.standard_form
-    u_num = cert.unitary
-    g = compose(b0, phi1)
-    v0 = standard_witness(g, theta)
+        resid = map_distance(numeric_compose(phi2, to_numeric(phi1)),
+                             to_numeric(theta))
+        if resid > max(phi2.tolerance, DEFAULT_TOL):
+            raise TriangleNotCommuting(resid)
+        cert = is_regular(phi2)
+        if not cert.regular:
+            raise NotRegular(reason="numeric map is not regular",
+                             residual_rank=cert.residual_rank)
+        b0, lead = cert.standard_form, list(cert.unitary.factors)
+    else:
+        if not same_action(compose(phi2, phi1), theta):
+            raise TriangleNotCommuting(
+                map_distance(compose(phi2, phi1), theta))
+        b0, d = strictify(phi2)
+        lead = [d]
+    v0 = standard_witness(compose(b0, phi1), theta)
     b = conjugate_standard(b0, v0)
-    factors = [v0] + list(u_num.factors)
+    factors = [v0] + lead
     if not b.is_strict and theta.is_strict and phi1.is_strict:
         b, strip = strictify(b)
         factors.insert(0, strip)
-    out = Unitary(theta.target.n, factors)
     if not same_action(compose(b, phi1), theta):
-        raise AssertionError("restandardization failed to verify")
-    return out, b
+        raise InternalError("restandardization failed to verify")
+    return Unitary(theta.target.n, factors), b

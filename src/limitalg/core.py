@@ -9,6 +9,10 @@ block data computed once at construction time:
   of A intersect A*. Ordered by least element.
 * cstar_classes: connected components of the symmetrised edge relation, i.e.
   the simple summands of the generated C*-algebra.
+* class_trees: one breadth-first spanning tree per cstar class, rooted at
+  its least index with neighbours taken in ascending order, as the tuple of
+  (parent, child) edges in visiting order. Envelope images and intertwiner
+  generators are both read off these trees.
 * reduced: the digraph induced on blocks. The original edge set is exactly
   the full blow-up of the reduced one, which several routines rely on.
 
@@ -68,8 +72,8 @@ class DigraphAlgebra:
     builders below. Instances compare and hash by (n, edges).
     """
 
-    __slots__ = ("graph", "blocks", "cstar_classes", "reduced", "_block_of",
-                 "_class_of", "_block_of_block")
+    __slots__ = ("graph", "blocks", "cstar_classes", "class_trees", "reduced",
+                 "_block_of", "_class_of", "_block_of_block")
 
     def __init__(self, graph: Digraph):
         self.graph = graph
@@ -94,27 +98,30 @@ class DigraphAlgebra:
                 block_of[i] = r
         self._block_of = block_of
 
-        # cstar classes: undirected components
+        # cstar classes: undirected components, each with its BFS tree
         adj = {i: set() for i in range(1, n + 1)}
         for (i, j) in edges:
-            adj[i].add(j)
-            adj[j].add(i)
+            if i != j:
+                adj[i].add(j)
+                adj[j].add(i)
         seen2 = set()
         classes = []
+        trees = []
         for i in range(1, n + 1):
             if i in seen2:
                 continue
-            comp = set()
-            stack = [i]
-            while stack:
-                v = stack.pop()
-                if v in comp:
-                    continue
-                comp.add(v)
-                stack.extend(adj[v] - comp)
-            seen2 |= comp
-            classes.append(tuple(sorted(comp)))
+            seen2.add(i)
+            order = [i]
+            tree = []
+            for p in order:
+                for c in sorted(adj[p] - seen2):
+                    seen2.add(c)
+                    tree.append((p, c))
+                    order.append(c)
+            classes.append(tuple(sorted(order)))
+            trees.append(tuple(tree))
         self.cstar_classes = tuple(classes)
+        self.class_trees = tuple(trees)
 
         class_of = {}
         for c, cls in enumerate(self.cstar_classes):
@@ -464,30 +471,22 @@ def rank_profile(projections: Sequence[StandardProjection],
     return RankMatrix(tuple(rows))
 
 
-def _rational_row_reduce(rows: list) -> int:
-    """Rank over Q of a list of Fraction vectors; destructive on the copy."""
-    rows = [list(r) for r in rows]
+def rational_rank(rows: Sequence) -> int:
+    """Rank over Q of a matrix given as rows of integers or Fractions."""
+    mat = [[Fraction(v) for v in row] for row in rows]
     rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivot_col = 0
-    while rank < len(rows) and pivot_col < cols:
-        pivot = None
-        for rr in range(rank, len(rows)):
-            if rows[rr][pivot_col] != 0:
-                pivot = rr
-                break
-        if pivot is None:
-            pivot_col += 1
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0),
+                   None)
+        if piv is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][pivot_col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for rr in range(len(rows)):
-            if rr != rank and rows[rr][pivot_col] != 0:
-                f = rows[rr][pivot_col]
-                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[rank])]
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        top = mat[rank]
+        for r in range(rank + 1, len(mat)):
+            if mat[r][col] != 0:
+                f = mat[r][col] / top[col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], top)]
         rank += 1
-        pivot_col += 1
     return rank
 
 
@@ -516,12 +515,11 @@ def cycle_flagged_classes(a: DigraphAlgebra) -> tuple:
         for (x, y, z) in itertools.combinations(sorted(verts), 3):
             e1, e2, e3 = (x, y), (y, z), (x, z)
             if e1 in pos and e2 in pos and e3 in pos:
-                row = [Fraction(0)] * len(und)
+                row = [0] * len(und)
                 row[pos[e1]] += 1
                 row[pos[e2]] += 1
                 row[pos[e3]] -= 1
                 tri_rows.append(row)
-        tri_rank = _rational_row_reduce(tri_rows) if tri_rows else 0
-        if tri_rank < cycle_dim:
+        if rational_rank(tri_rows) < cycle_dim:
             flagged.append(c)
     return tuple(flagged)

@@ -10,6 +10,7 @@ length.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,8 +18,8 @@ import numpy as np
 
 from .core import DigraphAlgebra
 from .errors import (CapacityExceeded, CensusMismatch, Disconnected,
-                     InconsistentRanks, NotRegular, SourceTargetMismatch,
-                     TooFarApart)
+                     InconsistentRanks, InternalError, NotRegular,
+                     SourceTargetMismatch, TooFarApart)
 from .homs import (DEFAULT_TOL, IndexMap, MultiplicityOneMap, NumericStarMap,
                    StandardRegularMap, Unitary, assemble_regular,
                    conjugate_numeric, map_distance, operator_norm, to_numeric,
@@ -286,6 +287,18 @@ def summand_census(phi: NumericStarMap) -> SummandCensus:
     return SummandCensus(found, residual, total)
 
 
+def standard_census(phi: StandardRegularMap) -> SummandCensus:
+    """The census of a standard map, read off exactly.
+
+    A standard map is regular, so its classes are the index maps of its
+    maximal summands and nothing is left over; this equals
+    summand_census(to_numeric(phi)) without a single test product.
+    """
+    classes = Counter(map(IndexMap, phi.class_multiset()))
+    total = sum(sum(row) for row in phi.rank_matrix().entries)
+    return SummandCensus(dict(classes), 0, total)
+
+
 def _canonical_from_census(census: SummandCensus, src: DigraphAlgebra,
                            tgt: DigraphAlgebra) -> StandardRegularMap:
     """Standard regular map realizing the census, smallest free slots first."""
@@ -302,36 +315,13 @@ def _canonical_from_census(census: SummandCensus, src: DigraphAlgebra,
                 blk = src.blocks[r]
                 slots = free[bmap[r]][:len(blk)]
                 if len(slots) < len(blk):
-                    raise AssertionError(
+                    raise InternalError(
                         "rank accounting admitted an infeasible census")
                 del free[bmap[r]][:len(blk)]
                 for i, s in zip(blk, slots):
                     iota[i] = s
             pieces.append(validate_multiplicity_one(iota, src, tgt))
     return assemble_regular(pieces, source=src, target=tgt)
-
-
-def _intertwine_generators(src: DigraphAlgebra) -> list:
-    """*-closed spanning generators: diagonals plus tree pairs per class."""
-    gens = [(i, i) for i in range(1, src.n + 1)]
-    for cls in src.cstar_classes:
-        vset = set(cls)
-        und = {i: set() for i in cls}
-        for (i, j) in src.edges:
-            if i != j and i in vset and j in vset:
-                und[i].add(j)
-                und[j].add(i)
-        seen = {cls[0]}
-        queue = [cls[0]]
-        while queue:
-            p = queue.pop(0)
-            for c in sorted(und[p]):
-                if c not in seen:
-                    seen.add(c)
-                    gens.append((p, c))
-                    gens.append((c, p))
-                    queue.append(c)
-    return gens
 
 
 def _block_diag_intertwiner(phi: NumericStarMap, psi_n: NumericStarMap
@@ -350,7 +340,11 @@ def _block_diag_intertwiner(phi: NumericStarMap, psi_n: NumericStarMap
         for a in blk:
             for b in blk:
                 params.append((a - 1, b - 1))
-    gens = _intertwine_generators(phi.source)
+    # *-closed spanning generators: diagonals plus class tree edges
+    gens = [(i, i) for i in range(1, phi.source.n + 1)]
+    for tree in phi.source.class_trees:
+        for p, c in tree:
+            gens += [(p, c), (c, p)]
     rows = len(gens) * n * n
     k = np.zeros((rows, len(params)), dtype=complex)
     for g, (i, j) in enumerate(gens):

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .core import rational_rank
 from .errors import (BandMismatch, CapacityExceeded, DepthUnavailable,
-                     DimensionMismatch, NotTrBand, ShapeMismatch, UsageError)
+                     DimensionMismatch, InternalError, NotTrBand,
+                     ShapeMismatch, UsageError)
 from .homs import StandardRegularMap, decompose_maximal
 from .intertwine import DirectSystem
 
@@ -395,7 +396,8 @@ def class_of_map(phi: StandardRegularMap) -> ModuleMapMatrix:
         for p, blk in enumerate(src_shape.summands[b].blocks):
             i = src.blocks[blk][0]
             cc, q = tgt_pos[tgt.block_index(piece(i))]
-            assert cc == c, "summand image straddles target classes"
+            if cc != c:
+                raise InternalError("summand image straddles target classes")
             values.append(q)
         theta = MonotoneMap(r, tuple(values))
         entries[c][b] = entries[c][b] + SemiringElement.single(theta)
@@ -439,28 +441,6 @@ def in_scale(x: StageModule, scale: ScaleConstraint) -> bool:
 
 # staged limit data
 
-def _rational_column_rank(rows: list) -> int:
-    """Column rank of an integer matrix, exact arithmetic."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    rptr = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rptr, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rptr], mat[piv] = mat[piv], mat[rptr]
-        inv = mat[rptr][col]
-        mat[rptr] = [v / inv for v in mat[rptr]]
-        for i in range(len(mat)):
-            if i != rptr and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rptr])]
-        rptr += 1
-        rank += 1
-    return rank
-
-
 def matrix_injective(m: ModuleMapMatrix) -> bool:
     """Sound (for r > 1 incomplete) injectivity test for the induced map.
 
@@ -474,7 +454,7 @@ def matrix_injective(m: ModuleMapMatrix) -> bool:
     if m.r == 1:
         one = MonotoneMap.identity(1)
         rows = [[e.coeff(one) for e in row] for row in m.entries]
-        return _rational_column_rank(rows) == m.cols
+        return rational_rank(rows) == m.cols
     for b in range(m.cols):
         ok = False
         for c in range(m.rows):

@@ -1,27 +1,12 @@
 """Exception types shared across the package.
 
-Every failure that a verb can report carries its witness data as attributes,
-and ``payload()`` renders those into a JSON-safe dict for CLI reports.
+Every failure that a verb can report carries its witness data as attributes
+in ``data``; the CLI renders those into its JSON error payload.
 """
 
 from __future__ import annotations
 
 from typing import Any
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
-    if hasattr(value, "item") and not isinstance(value, (str, bytes)):
-        # numpy scalar
-        return _jsonable(value.item())
-    return value
 
 
 class LimitalgError(Exception):
@@ -32,14 +17,6 @@ class LimitalgError(Exception):
         if not message and data:
             message = ", ".join(f"{k}={v!r}" for k, v in data.items())
         super().__init__(message)
-
-    def payload(self) -> dict:
-        out = {"error": type(self).__name__}
-        if self.args and self.args[0]:
-            out["message"] = str(self.args[0])
-        for k, v in self.data.items():
-            out[k] = _jsonable(v)
-        return out
 
 
 # digraph / algebra construction
@@ -210,3 +187,7 @@ class DanglingReference(LimitalgError):
 
 class UsageError(LimitalgError):
     pass
+
+
+class InternalError(LimitalgError):
+    """A self-check on the library's own output failed: a bug, not input."""

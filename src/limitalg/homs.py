@@ -529,32 +529,17 @@ class NumericStarMap:
 def _envelope_extension(images: dict, source: DigraphAlgebra) -> dict:
     """Images of all within-class matrix units, given-algebra ones verbatim.
 
-    Tree products from the least index of each class define e_{root, x};
+    Products along the class tree from its root define e_{root, x};
     then e_xy = e_{root,x}* e_{root,y}.
     """
     env = {}
-    for cls in source.cstar_classes:
+    for cls, tree in zip(source.cstar_classes, source.class_trees):
         root = cls[0]
-        und = {i: set() for i in cls}
-        for (i, j) in source.edges:
-            if i in und and j in und and i != j:
-                und[i].add(j)
-                und[j].add(i)
         reach = {root: images[(root, root)]}
-        order = [root]
-        seen = {root}
-        k = 0
-        while k < len(order):
-            p = order[k]
-            k += 1
-            for c in sorted(und[p]):
-                if c in seen:
-                    continue
-                seen.add(c)
-                step = (images[(p, c)] if (p, c) in images
-                        else images[(c, p)].conj().T)
-                reach[c] = reach[p] @ step
-                order.append(c)
+        for p, c in tree:
+            step = (images[(p, c)] if (p, c) in images
+                    else images[(c, p)].conj().T)
+            reach[c] = reach[p] @ step
         for i in cls:
             for j in cls:
                 env[(i, j)] = (images[(i, j)] if (i, j) in images
@@ -683,10 +668,15 @@ def numeric_compose(phi: NumericStarMap, psi: NumericStarMap) -> NumericStarMap:
 
 
 def conjugate_numeric(u: np.ndarray, phi: NumericStarMap) -> NumericStarMap:
-    """Ad(u) after phi for a unitary matrix over the target space."""
+    """Ad(u) after phi for a unitary matrix over the target space.
+
+    The dense products round, so the tolerance is floored at 1e-12 even for
+    an exact source, as in numeric_compose.
+    """
     uh = u.conj().T
     images = {k: u @ m @ uh for k, m in phi.images.items()}
-    return _trusted_numeric(phi.source, phi.target, images, phi.tolerance)
+    return _trusted_numeric(phi.source, phi.target, images,
+                            max(phi.tolerance, 1e-12))
 
 
 def map_distance(f, g) -> float:

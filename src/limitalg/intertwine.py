@@ -18,8 +18,9 @@ import numpy as np
 
 from .core import DigraphAlgebra
 from .detect import is_regular, threshold_constant
-from .errors import (CensusMismatch, NotRegular, ResidualTooLarge,
-                     SourceTargetMismatch, TriangleNotCommuting, UsageError)
+from .errors import (CensusMismatch, InternalError, NotRegular,
+                     ResidualTooLarge, SourceTargetMismatch,
+                     TriangleNotCommuting, UsageError)
 from .homs import (NumericStarMap, StandardRegularMap, Unitary,
                    apply_to_unitary, compose, conjugate_standard,
                    map_distance, numeric_compose, operator_norm, same_action,
@@ -127,6 +128,16 @@ class CrossoverDiagram:
     def bottom_triangles(self) -> int:
         return min(len(self.betas), len(self.alphas) - 1)
 
+    def triangles(self):
+        """Yield (kind, stage, inner, outer, connector) per triangle, each
+        stating outer after inner = connector; top triangles come first."""
+        for k in range(self.top_triangles()):
+            yield ("top", k, self.alphas[k], self.betas[k],
+                   self.top.connector(k))
+        for k in range(self.bottom_triangles()):
+            yield ("bottom", k, self.betas[k], self.alphas[k + 1],
+                   self.bottom.connector(k))
+
     def budget_for(self, kind: str, k: int) -> Optional[float]:
         if not self.budgets:
             return None
@@ -175,32 +186,39 @@ def _masa_flag(m, role: str, stage: int) -> dict:
     return {"role": role, "stage": stage, "preserved": True}
 
 
-def verify_diagram(d: CrossoverDiagram) -> DiagramReport:
-    """Numeric residuals and masa flags for every triangle and crossover."""
+def _triangle_residual(inner, outer, connector) -> float:
+    lhs = numeric_compose(_as_numeric(outer), _as_numeric(inner))
+    return map_distance(lhs, _as_numeric(connector))
+
+
+def _report(d: CrossoverDiagram, residuals: list) -> DiagramReport:
     rows = []
     total = 0.0
-    for k in range(d.top_triangles()):
-        lhs = numeric_compose(_as_numeric(d.betas[k]), _as_numeric(d.alphas[k]))
-        r = map_distance(lhs, _as_numeric(d.top.connector(k)))
-        b = d.budget_for("top", k)
-        rows.append({"stage": k, "kind": "top", "residual": r, "budget": b,
+    for (kind, k, *_), r in zip(d.triangles(), residuals):
+        b = d.budget_for(kind, k)
+        rows.append({"stage": k, "kind": kind, "residual": r, "budget": b,
                      "within_budget": None if b is None else r <= b})
         total += r
-    for k in range(d.bottom_triangles()):
-        lhs = numeric_compose(_as_numeric(d.alphas[k + 1]),
-                              _as_numeric(d.betas[k]))
-        r = map_distance(lhs, _as_numeric(d.bottom.connector(k)))
-        b = d.budget_for("bottom", k)
-        rows.append({"stage": k, "kind": "bottom", "residual": r, "budget": b,
-                     "within_budget": None if b is None else r <= b})
-        total += r
-    flags = []
-    for k, a in enumerate(d.alphas):
-        flags.append(_masa_flag(a, "alpha", k))
-    for k, b in enumerate(d.betas):
-        flags.append(_masa_flag(b, "beta", k))
-    exact = all(row["residual"] <= 1e-12 for row in rows)
+    flags = ([_masa_flag(a, "alpha", k) for k, a in enumerate(d.alphas)]
+             + [_masa_flag(b, "beta", k) for k, b in enumerate(d.betas)])
+    exact = all(r <= 1e-12 for r in residuals)
     return DiagramReport(tuple(rows), tuple(flags), total, exact)
+
+
+def verify_diagram(d: CrossoverDiagram) -> DiagramReport:
+    """Numeric residuals and masa flags for every triangle and crossover."""
+    return _report(d, [_triangle_residual(inner, outer, conn)
+                       for _, _, inner, outer, conn in d.triangles()])
+
+
+def _zigzag(d: CrossoverDiagram) -> list:
+    """Triangles in walking order alpha_0, beta_0, alpha_1, ...: stage by
+    stage, top before bottom, so each closes over the map walked before."""
+    return sorted(d.triangles(), key=lambda t: (t[1], t[0] != "top"))
+
+
+def _exactly_commutes(inner, outer, connector) -> bool:
+    return same_action(compose(outer, inner), connector)
 
 
 def exact_intertwine(d: CrossoverDiagram) -> CorrectedDiagram:
@@ -210,6 +228,8 @@ def exact_intertwine(d: CrossoverDiagram) -> CorrectedDiagram:
     triangle must commute exactly; numeric crossovers belong to the
     approximate mode. Outputs are strict standard with monomial witnesses:
     alphas_hat[k] = Ad(v[k]) alphas[k] and betas_hat[k] = Ad(u[k]) betas[k].
+    The corrected diagram is checked with the same exact comparison as the
+    input, so its report has residual 0.0 on every triangle.
     """
     if d.mode != "exact":
         raise UsageError("diagram is not in exact mode")
@@ -218,53 +238,51 @@ def exact_intertwine(d: CrossoverDiagram) -> CorrectedDiagram:
             raise UsageError(
                 "exact mode needs combinatorial crossovers; "
                 "use approximate mode for numeric maps")
-    for k in range(d.top_triangles()):
-        lhs = compose(d.betas[k], d.alphas[k])
-        if not same_action(lhs, d.top.connector(k)):
+    for _, k, inner, outer, conn in d.triangles():
+        if not _exactly_commutes(inner, outer, conn):
             raise TriangleNotCommuting(
-                map_distance(lhs, d.top.connector(k)), stage=k)
-    for k in range(d.bottom_triangles()):
-        lhs = compose(d.alphas[k + 1], d.betas[k])
-        if not same_action(lhs, d.bottom.connector(k)):
-            raise TriangleNotCommuting(
-                map_distance(lhs, d.bottom.connector(k)), stage=k)
+                map_distance(compose(outer, inner), conn), stage=k)
 
-    a_hat = []
-    b_hat = []
-    vs = []
-    us = []
     first, d1 = strictify(d.alphas[0])
-    a_hat.append(first)
-    vs.append(Unitary(d.bottom.stage_algebra(0).n, [d1]))
-    for k in range(len(d.alphas)):
-        if k >= len(d.betas):
-            break
-        v_mono = vs[k].as_monomial(d.bottom.stage_algebra(k))
-        t_k = apply_to_unitary(d.betas[k], v_mono.adjoint())
-        b_cur = conjugate_standard(d.betas[k], t_k)
-        u_corr, b_std = restandardize_triangle(
-            d.top.connector(k), a_hat[k], b_cur)
-        b_hat.append(b_std)
-        us.append(Unitary(d.top.stage_algebra(k + 1).n,
-                          list(u_corr.factors) + [t_k]))
-        if k + 1 >= len(d.alphas):
-            break
-        u_mono = us[k].as_monomial(d.top.stage_algebra(k + 1))
-        s_k = apply_to_unitary(d.alphas[k + 1], u_mono.adjoint())
-        a_cur = conjugate_standard(d.alphas[k + 1], s_k)
-        v_corr, a_std = restandardize_triangle(
-            d.bottom.connector(k), b_hat[k], a_cur)
-        a_hat.append(a_std)
-        vs.append(Unitary(d.bottom.stage_algebra(k + 1).n,
-                          list(v_corr.factors) + [s_k]))
+    hats = [first]
+    wits = [Unitary(first.target.n, [d1])]
+    for _, _, _, outer, conn in _zigzag(d):
+        mono = wits[-1].as_monomial(outer.source)
+        t = apply_to_unitary(outer, mono.adjoint())
+        corr, std = restandardize_triangle(conn, hats[-1],
+                                           conjugate_standard(outer, t))
+        hats.append(std)
+        wits.append(Unitary(outer.target.n, list(corr.factors) + [t]))
 
-    corrected = CrossoverDiagram(d.top, d.bottom, tuple(a_hat), tuple(b_hat),
+    a_hat, b_hat = tuple(hats[0::2]), tuple(hats[1::2])
+    corrected = CrossoverDiagram(d.top, d.bottom, a_hat, b_hat,
                                  mode="exact", budgets=None)
-    report = verify_diagram(corrected)
-    if not report.exact:
-        raise AssertionError("corrected diagram failed exact verification")
-    return CorrectedDiagram(tuple(a_hat), tuple(b_hat), tuple(vs), tuple(us),
-                            report, corrected)
+    residuals = []
+    for _, k, inner, outer, conn in corrected.triangles():
+        if not _exactly_commutes(inner, outer, conn):
+            raise InternalError("corrected diagram failed exact verification",
+                                stage=k)
+        residuals.append(0.0)
+    return CorrectedDiagram(a_hat, b_hat, tuple(wits[0::2]),
+                            tuple(wits[1::2]), _report(corrected, residuals),
+                            corrected)
+
+
+def _certify(maps: tuple, role: str) -> tuple:
+    """Standard forms and witnesses of the crossovers, certifying numeric
+    ones through the regularity decision."""
+    forms, wits = [], []
+    for k, m in enumerate(maps):
+        if isinstance(m, StandardRegularMap):
+            forms.append(m)
+            wits.append(Unitary(m.target.n))
+            continue
+        cert = is_regular(m)
+        if not cert.regular:
+            raise NotRegular(reason=f"{role} is not regular", stage=k)
+        forms.append(cert.standard_form)
+        wits.append(cert.unitary)
+    return forms, wits
 
 
 def approx_intertwine(d: CrossoverDiagram) -> CorrectedDiagram:
@@ -279,100 +297,48 @@ def approx_intertwine(d: CrossoverDiagram) -> CorrectedDiagram:
     """
     if d.mode != "approximate":
         raise UsageError("diagram is not in approximate mode")
-    n_a, n_b = len(d.alphas), len(d.betas)
-    alpha_n = [_as_numeric(a) for a in d.alphas]
-    beta_n = [_as_numeric(b) for b in d.betas]
+    a_std, a_wit = _certify(d.alphas, "alpha")
+    b_std, b_wit = _certify(d.betas, "beta")
 
-    a_std = []
-    a_wit = []
-    for k, a in enumerate(d.alphas):
-        if isinstance(a, StandardRegularMap):
-            a_std.append(a)
-            a_wit.append(Unitary(a.target.n))
-        else:
-            cert = is_regular(a)
-            if not cert.regular:
-                raise NotRegular(reason="alpha is not regular", stage=k)
-            a_std.append(cert.standard_form)
-            a_wit.append(cert.unitary)
-    b_std = []
-    b_wit = []
-    for k, b in enumerate(d.betas):
-        if isinstance(b, StandardRegularMap):
-            b_std.append(b)
-            b_wit.append(Unitary(b.target.n))
-        else:
-            cert = is_regular(b)
-            if not cert.regular:
-                raise NotRegular(reason="beta is not regular", stage=k)
-            b_std.append(cert.standard_form)
-            b_wit.append(cert.unitary)
-
-    for k in range(d.top_triangles()):
-        c = threshold_constant(d.top.stage_algebra(k))
-        gate = c if d.budget_for("top", k) is None else min(
-            c, d.budget_for("top", k))
-        r = map_distance(numeric_compose(beta_n[k], alpha_n[k]),
-                         _as_numeric(d.top.connector(k)))
-        if r >= gate:
-            raise ResidualTooLarge(r, gate, stage=k)
-    for k in range(d.bottom_triangles()):
-        c = threshold_constant(d.bottom.stage_algebra(k))
-        gate = c if d.budget_for("bottom", k) is None else min(
-            c, d.budget_for("bottom", k))
-        r = map_distance(numeric_compose(alpha_n[k + 1], beta_n[k]),
-                         _as_numeric(d.bottom.connector(k)))
+    for kind, k, inner, outer, conn in d.triangles():
+        gate = threshold_constant(inner.source)
+        budget = d.budget_for(kind, k)
+        if budget is not None:
+            gate = min(gate, budget)
+        r = _triangle_residual(inner, outer, conn)
         if r >= gate:
             raise ResidualTooLarge(r, gate, stage=k)
 
     # align the standard forms so every triangle holds exactly; the gates
     # above force the class multisets to agree, so witnesses always exist
-    a_fix = list(a_std)
-    b_fix = list(b_std)
-    tau = [None] * n_a
-    sigma = [None] * n_b
-    for k in range(n_b):
-        got = compose(b_fix[k], a_fix[k])
-        want = d.top.connector(k)
-        if got.class_multiset() != want.class_multiset():
-            raise CensusMismatch(stage=k, kind="top")
-        sigma[k] = standard_witness(got, want)
-        b_fix[k] = conjugate_standard(b_fix[k], sigma[k])
-        if k + 1 < n_a:
-            got2 = compose(a_fix[k + 1], b_fix[k])
-            want2 = d.bottom.connector(k)
-            if got2.class_multiset() != want2.class_multiset():
-                raise CensusMismatch(stage=k, kind="bottom")
-            tau[k + 1] = standard_witness(got2, want2)
-            a_fix[k + 1] = conjugate_standard(a_fix[k + 1], tau[k + 1])
+    walk = [a_std[0]]
+    fixes = [None]
+    for kind, k, _, _, conn in _zigzag(d):
+        std = b_std[k] if kind == "top" else a_std[k + 1]
+        got = compose(std, walk[-1])
+        if got.class_multiset() != conn.class_multiset():
+            raise CensusMismatch(stage=k, kind=kind)
+        fixes.append(standard_witness(got, conn))
+        walk.append(conjugate_standard(std, fixes[-1]))
+    a_fix, b_fix = walk[0::2], walk[1::2]
 
     exact = CrossoverDiagram(d.top, d.bottom, tuple(a_fix), tuple(b_fix),
                              mode="exact", budgets=None)
     out = exact_intertwine(exact)
 
-    v_total = []
-    for k in range(len(out.alphas_hat)):
-        factors = list(out.v_unitaries[k].factors)
-        if tau[k] is not None:
-            factors.append(tau[k])
-        factors.extend(a_wit[k].factors)
-        v_total.append(Unitary(d.bottom.stage_algebra(k).n, factors))
-    u_total = []
-    for k in range(len(out.betas_hat)):
-        factors = list(out.u_unitaries[k].factors)
-        if sigma[k] is not None:
-            factors.append(sigma[k])
-        factors.extend(b_wit[k].factors)
-        u_total.append(Unitary(d.top.stage_algebra(k + 1).n, factors))
+    # witness against each original crossover: exact correction, then the
+    # alignment, then the certificate
+    totals, wr = {}, {}
+    for role, maps, hats, corrections, fix, certs in (
+            ("alphas", d.alphas, out.alphas_hat, out.v_unitaries,
+             fixes[0::2], a_wit),
+            ("betas", d.betas, out.betas_hat, out.u_unitaries,
+             fixes[1::2], b_wit)):
+        totals[role] = [Unitary(c.n, [x for x in (c, f, w) if x is not None])
+                        for c, f, w in zip(corrections, fix, certs)]
+        wr[role] = [map_distance(u.then_ad(_as_numeric(m)), to_numeric(h))
+                    for u, m, h in zip(totals[role], maps, hats)]
 
-    wr = {"alphas": [], "betas": []}
-    for k in range(len(out.alphas_hat)):
-        moved = v_total[k].then_ad(alpha_n[k])
-        wr["alphas"].append(map_distance(moved, to_numeric(out.alphas_hat[k])))
-    for k in range(len(out.betas_hat)):
-        moved = u_total[k].then_ad(beta_n[k])
-        wr["betas"].append(map_distance(moved, to_numeric(out.betas_hat[k])))
-
-    return CorrectedDiagram(out.alphas_hat, out.betas_hat, tuple(v_total),
-                            tuple(u_total), out.report, out.diagram,
-                            witness_residuals=wr)
+    return CorrectedDiagram(out.alphas_hat, out.betas_hat,
+                            tuple(totals["alphas"]), tuple(totals["betas"]),
+                            out.report, out.diagram, witness_residuals=wr)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import limitalg as la
+from limitalg.core import rational_rank
 from limitalg.errors import (NotReflexive, NotTransitive, NotOrthogonal)
 
 from conftest import random_algebra
@@ -104,6 +105,25 @@ def test_bimodule_support_mask_idempotent(seed):
     for i in range(1, a.n + 1):
         for j in range(1, a.n + 1):
             assert mask[i - 1, j - 1] == a.has_edge(i, j)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                max_size=5),
+       st.integers(0, 4))
+def test_rational_rank_matches_numpy(rows, cols):
+    rows = [row[:cols] for row in rows]
+    want = (np.linalg.matrix_rank(np.array(rows, dtype=float))
+            if rows and cols else 0)
+    assert rational_rank(rows) == want
+
+
+def test_class_trees_span_each_class_breadth_first():
+    # undirected 1-2, 1-3, 2-4: breadth first reaches 3 before 4
+    a = la.build_digraph_algebra(
+        5, [(i, i) for i in range(1, 6)] + [(2, 1), (3, 1), (2, 4)])
+    assert a.cstar_classes == ((1, 2, 3, 4), (5,))
+    assert a.class_trees == (((1, 2), (1, 3), (2, 4)), ())
 
 
 def test_projection_matrix_and_orthogonality():

@@ -112,6 +112,18 @@ def test_exact_intertwine_weighted_twists():
         assert la.map_distance(moved, la.to_numeric(a)) <= 1e-12
 
 
+def test_exact_report_matches_dense_verification():
+    # the exact engine reports without a dense pass; verify_diagram is the
+    # oracle on the corrected diagram
+    rng = np.random.default_rng(103)
+    for stages in (2, 3, 4):
+        for phases in (False, True):
+            d = twisted_refinement_diagram(rng, stages=stages, phases=phases)
+            out = la.exact_intertwine(d)
+            assert (out.report.as_payload()
+                    == la.verify_diagram(out.diagram).as_payload())
+
+
 def test_exact_intertwine_rejects_numeric():
     rng = np.random.default_rng(71)
     d = twisted_refinement_diagram(rng, stages=2)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import limitalg as la
-from limitalg import io as iolib
+from limitalg import conjugacy, detect, io as iolib
 from limitalg.cli import main, run_command
 from limitalg.dimmod import MonotoneMap
 from limitalg.errors import DanglingReference, SchemaError, UsageError
@@ -97,6 +97,18 @@ def test_numeric_map_round_trip():
     back = iolib.parse_map(doc, "")
     assert la.map_distance(phi, back) == 0.0
     assert back.tolerance == phi.tolerance
+
+
+def test_conjugated_numeric_map_round_trip():
+    # dense conjugation rounds, so its tolerance must survive re-parsing
+    from conftest import random_block_hermitian, unitary_exp
+    rng = np.random.default_rng(131)
+    phi = la.to_numeric(la.refinement_map(2, 1, 2))
+    u = unitary_exp(random_block_hermitian(rng, phi.target), 0.7)
+    moved = la.conjugate_numeric(u, phi)
+    back = iolib.parse_map(iolib.encode_map(moved), "")
+    assert la.map_distance(moved, back) == 0.0
+    assert back.tolerance == moved.tolerance > 0.0
 
 
 def test_schema_error_pointers():
@@ -341,6 +353,40 @@ def test_cli_dimmod(tmp_path):
 
     code, report = run_command("dimmod", ["--system", sp, "--r", "2"])
     assert code == 2
+
+
+def test_exact_census_matches_numeric_census():
+    ws = tower_workspace()
+    t2, t4 = la.tr_algebra(2), la.tr_algebra(3, 2)
+    maps = list(ws.maps.values()) + [
+        la.refinement_map(2, 1, 2),
+        la.assemble_regular([la.refinement_summand(2, 1, 2, 1)]),
+        la.assemble_regular(
+            [la.validate_multiplicity_one({1: 1, 2: 3}, t2, t4)]),
+        la.assemble_regular(
+            [la.validate_multiplicity_one({1: 3, 2: 5}, t2, t4)]),
+        la.conjugate_standard(
+            la.refinement_map(2, 1, 2),
+            la.PermutationUnitary(la.tr_algebra(2, 2),
+                                  (2, 1, 4, 3)).as_partial_isometry())]
+    for phi in maps:
+        exact = detect.standard_census(phi)
+        oracle = la.summand_census(la.to_numeric(phi))
+        assert exact == oracle
+        assert exact.as_payload() == oracle.as_payload()
+
+
+def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    phi = la.refinement_map(2, 1, 2)
+    lhs = write_json(tmp_path / "lhs.json", iolib.encode_map(phi))
+    monkeypatch.setattr(conjugacy, "same_action", lambda f, g: False)
+    code = main(["conjugacy", "--lhs", lhs, "--rhs", lhs])
+    out = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out.out) == {"error": {
+        "type": "InternalError",
+        "message": "witness construction failed to verify"}}
+    assert out.err == ""
 
 
 def test_cli_tolerance_env(tmp_path, monkeypatch):
