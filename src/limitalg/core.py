@@ -56,13 +56,16 @@ def _check_relation(n: int, edges: frozenset) -> None:
     for i in range(1, n + 1):
         if (i, i) not in edges:
             raise NotReflexive(i)
-    # witness search in deterministic order
-    succ = {i: sorted(j for (a, j) in edges if a == i) for i in range(1, n + 1)}
+    succ = {i: set() for i in range(1, n + 1)}
+    for (i, j) in edges:
+        succ[i].add(j)
+    # the least witness (i, j, k) in scan order, with k found only for the
+    # first (i, j) whose subset test fails
     for i in range(1, n + 1):
-        for j in succ[i]:
-            for k in succ[j]:
-                if (i, k) not in edges:
-                    raise NotTransitive(i, j, k)
+        for j in sorted(succ[i]):
+            if not succ[j] <= succ[i]:
+                k = min(succ[j] - succ[i])
+                raise NotTransitive(i, j, k)
 
 
 class DigraphAlgebra:
@@ -166,12 +169,6 @@ class DigraphAlgebra:
     def unit(self, i: int, j: int) -> np.ndarray:
         m = np.zeros((self.n, self.n), dtype=complex)
         m[i - 1, j - 1] = 1.0
-        return m
-
-    def block_projection_matrix(self, r: int) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=complex)
-        for i in self.blocks[r]:
-            m[i - 1, i - 1] = 1.0
         return m
 
     def support_mask(self) -> np.ndarray:

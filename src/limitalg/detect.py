@@ -10,6 +10,7 @@ length.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -26,6 +27,11 @@ from .homs import (DEFAULT_TOL, IndexMap, MultiplicityOneMap, NumericStarMap,
                    validate_multiplicity_one)
 
 _CENSUS_CAP = 10 ** 6
+
+# the 1/2 singular-value cut of _norm_and_rank, less a relative margin far
+# above the rounding of the computed norms, so pruning never drops a block
+# map whose computed singular values would pass the cut
+_PRUNE_CUT = 0.5 * (1 - 1e-9)
 
 
 @dataclass(frozen=True)
@@ -122,19 +128,46 @@ def _right_index(token) -> int:
 
 def _product_for_blocks(phi: NumericStarMap, word: TestWord,
                         block_map: dict) -> np.ndarray:
-    """The interleaved product for a candidate block map of one class."""
-    tgt = phi.target
+    """The interleaved product for a candidate block map of one class.
+
+    With T_k the target block block_map assigns to the right index of token
+    k, the dense product m_1 E_1 m_2 E_2 ... m_L E_L is zero outside the
+    columns T_L and equals m_1[:, T_1] @ m_2[T_1, T_2] @ ... @
+    m_L[T_{L-1}, T_L] on them, so this block-slice product has the same
+    nonzero singular values.
+    """
+    blocks = phi.target.blocks
     bi = phi.source.block_index
-    proj = {}
-    out = None
+    out = rows = None
     for tok in word.tokens:
         m = _token_matrix(phi, tok)
-        out = m if out is None else out @ m
-        t = block_map[bi(_right_index(tok))]
-        if t not in proj:
-            proj[t] = tgt.block_projection_matrix(t)
-        out = out @ proj[t]
+        cols = [i - 1 for i in blocks[block_map[bi(_right_index(tok))]]]
+        out = m[:, cols] if out is None else out @ m[np.ix_(rows, cols)]
+        rows = cols
     return out
+
+
+def _allowed_targets(phi: NumericStarMap, word: TestWord) -> dict:
+    """Source block -> ascending target blocks its test products may use.
+
+    Target t stays for source block r when, for every token k whose right
+    index lies in r, ||m_k[:, T_t]||_F prod_{i != k} ||m_i||_F exceeds
+    _PRUNE_CUT.
+    """
+    bi = phi.source.block_index
+    mats = [_token_matrix(phi, tok) for tok in word.tokens]
+    colsq = [np.sum(np.abs(m) ** 2, axis=0) for m in mats]
+    fro = [math.sqrt(float(c.sum())) for c in colsq]
+    blocks = [[i - 1 for i in blk] for blk in phi.target.blocks]
+    allowed = {}
+    for k, tok in enumerate(word.tokens):
+        others = math.prod(fro[:k]) * math.prod(fro[k + 1:])
+        keep = {t for t, cols in enumerate(blocks)
+                if math.sqrt(float(colsq[k][cols].sum())) * others
+                > _PRUNE_CUT}
+        r = bi(_right_index(tok))
+        allowed[r] = allowed[r] & keep if r in allowed else keep
+    return {r: sorted(ts) for r, ts in allowed.items()}
 
 
 def _norm_and_rank(m: np.ndarray) -> tuple:
@@ -215,8 +248,20 @@ class SummandCensus:
                 "total_rank": self.total_rank}
 
 
-def _class_candidates(src: DigraphAlgebra, tgt: DigraphAlgebra, c: int):
-    """Edge-preserving, size-feasible block maps of class c, backtracking."""
+def _class_candidates(src: DigraphAlgebra, tgt: DigraphAlgebra, c: int,
+                      allowed: dict):
+    """Edge-preserving, size-feasible block maps of class c, backtracking.
+
+    Source block r is only tried on the targets allowed[r] (see
+    _allowed_targets), so a pruned block map is never enumerated, and
+    CapacityExceeded counts only block maps that survive the bound. The
+    bound is sound: for each token k the interleaved product has
+    ||.||_2 <= ||m_k E_t||_2 prod_{i != k} ||m_i||_2
+    <= ||m_k[:, T_t]||_F prod_{i != k} ||m_i||_F, and _norm_and_rank counts
+    singular values > 1/2, so every pruned block map would score rank 0.
+    The rank matrix is not used to prune: its rounding is only sound at
+    small tolerances.
+    """
     rs = src.class_blocks(c)
     src_sizes = src.block_sizes()
     tgt_sizes = tgt.block_sizes()
@@ -231,7 +276,7 @@ def _class_candidates(src: DigraphAlgebra, tgt: DigraphAlgebra, c: int):
             out.append(dict(partial))
             return
         r = rs[k]
-        for t in range(len(tgt.blocks)):
+        for t in allowed[r]:
             if src_sizes[r] > tgt_sizes[t]:
                 continue
             ok = True
@@ -258,13 +303,26 @@ def summand_census(phi: NumericStarMap) -> SummandCensus:
     product; detected multiplicities must then satisfy the integer equations
     rank(E_r phi(e_jj) E_r) >= explained part, blockwise. A negative
     leftover anywhere raises InconsistentRanks.
+
+    Cost scales with the block maps that survive a norm bound, not with all
+    edge-preserving ones: target t is dropped for source block r when
+    ||m_k[:, T_t]||_F prod_{i != k} ||m_i||_F <= 1/2 for a token k of the
+    word with right index in r. For each such k the interleaved product has
+    ||.||_2 <= ||m_k E_t||_2 prod_{i != k} ||m_i||_2 <= that bound, so no
+    singular value passes the 1/2 cut of _norm_and_rank and the dropped
+    block map would have scored rank 0: found, residual_rank, total_rank
+    and InconsistentRanks are unchanged on every input, at every tolerance.
+    The rank matrix is not used to prune: it rounds block traces to
+    integers, which bounds the test products only for maps validated at
+    small tolerances.
     """
     src, tgt = phi.source, phi.target
     ranks = phi.rank_matrix().entries
     found = {}
     for c in range(len(src.cstar_classes)):
         word = test_word(src, c)
-        for bmap in _class_candidates(src, tgt, c):
+        allowed = _allowed_targets(phi, word)
+        for bmap in _class_candidates(src, tgt, c, allowed):
             m = _product_for_blocks(phi, word, bmap)
             _, rank = _norm_and_rank(m)
             if rank > 0:

@@ -21,6 +21,46 @@ def test_rejects_non_transitive():
         la.build_digraph_algebra(3, {(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)})
 
 
+def _brute_force_relation_error(n, edges):
+    """The least witness in scan order, by a plain triple loop."""
+    for i in range(1, n + 1):
+        if (i, i) not in edges:
+            return NotReflexive(i)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                if ((i, j) in edges and (j, k) in edges
+                        and (i, k) not in edges):
+                    return NotTransitive(i, j, k)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_relation_check_matches_brute_force(data):
+    n = data.draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    # mostly reflexive relations, so the transitivity scan is reached, and
+    # some closed ones, so the check also passes
+    kind = data.draw(st.sampled_from(["some", "reflexive", "closed"]))
+    edges = set(data.draw(st.sets(st.sampled_from(pairs))))
+    if kind != "some":
+        edges |= {(i, i) for i in range(1, n + 1)}
+    while kind == "closed":
+        more = {(i, k) for (i, j) in edges for (jj, k) in edges if j == jj}
+        if more <= edges:
+            break
+        edges |= more
+    want = _brute_force_relation_error(n, edges)
+    if want is None:
+        assert la.build_digraph_algebra(n, edges).edges == frozenset(edges)
+        return
+    with pytest.raises(type(want)) as got:
+        la.build_digraph_algebra(n, edges)
+    assert got.value.args == want.args
+    assert got.value.data == want.data
+
+
 def test_tr3_structure():
     a = la.tr_algebra(3)
     assert a.n == 3

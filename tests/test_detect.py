@@ -1,11 +1,16 @@
 """Detection machinery: test words, test products, the census, the
 regularity decision, and close-conjugacy witnesses."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import limitalg as la
-from limitalg.errors import NotRegular, SourceTargetMismatch, TooFarApart
+from limitalg import detect
+from limitalg.errors import (CapacityExceeded, InconsistentRanks, NotRegular,
+                             SourceTargetMismatch, TooFarApart)
 
 from conftest import (random_block_hermitian, random_monomial_unitary,
                       random_standard_map, unitary_exp)
@@ -114,6 +119,194 @@ def test_census_stable_under_dense_conjugation():
         census = la.summand_census(moved)
         assert census.residual_rank == 0
         assert census.multiset() == phi.class_multiset()
+
+
+def _dense_product(phi, word, bmap):
+    """The interleaved product with dense n x n block projections."""
+    eye = np.eye(phi.target.n)
+    out = eye
+    for (a, b, star) in word.tokens:
+        m = phi.unit_image(a, b)
+        m, right = (m.conj().T, a) if star else (m, b)
+        idx = [i - 1 for i in
+               phi.target.blocks[bmap[phi.source.block_index(right)]]]
+        out = out @ m @ (eye[:, idx] @ eye[idx, :])
+    return out
+
+
+def _feasible_block_maps(src, tgt, c):
+    """Every size-feasible, edge-preserving block map of class c."""
+    rs = src.class_blocks(c)
+    ss, ts = src.block_sizes(), tgt.block_sizes()
+    for image in itertools.product(range(len(tgt.blocks)), repeat=len(rs)):
+        bmap = dict(zip(rs, image))
+        if any(ss[r] > ts[t] for r, t in bmap.items()):
+            continue
+        if all((bmap[r1], bmap[r2]) in tgt.reduced.edges
+               for r1 in rs for r2 in rs if (r1, r2) in src.reduced.edges):
+            yield bmap
+
+
+def _brute_force_census(phi):
+    """Census scored densely on every feasible block map, no pruning."""
+    src = phi.source
+    found = {}
+    for c in range(len(src.cstar_classes)):
+        word = la.test_word(src, c)
+        for bmap in _feasible_block_maps(src, phi.target, c):
+            sv = np.linalg.svd(_dense_product(phi, word, bmap),
+                               compute_uv=False)
+            rank = int(np.count_nonzero(sv > 0.5))
+            if rank:
+                found[la.IndexMap(tuple(bmap.items()))] = rank
+    ranks = phi.rank_matrix().entries
+    residual = 0
+    for r in range(len(phi.target.blocks)):
+        for j in range(1, src.n + 1):
+            left = ranks[r][j - 1] - sum(
+                mult for im, mult in found.items()
+                if dict(im.pairs).get(src.block_index(j)) == r)
+            if left < 0:
+                raise InconsistentRanks(r, j, left)
+            residual += left
+    return la.SummandCensus(found, residual, sum(map(sum, ranks)))
+
+
+def _class_alpha(src, tgt, bmap):
+    """A multiplicity-one map with block map bmap, or None if none fits."""
+    free = {t: list(tgt.blocks[t]) for t in bmap.values()}
+    iota = {}
+    for r, t in sorted(bmap.items()):
+        for i in src.blocks[r]:
+            if not free[t]:
+                return None
+            iota[i] = free[t].pop(0)
+    return la.validate_multiplicity_one(iota, src, tgt)
+
+
+def _check_against_oracle(phi):
+    try:
+        want = _brute_force_census(phi)
+    except InconsistentRanks as exc:
+        with pytest.raises(InconsistentRanks) as got:
+            la.summand_census(phi)
+        assert got.value.args == exc.args and got.value.data == exc.data
+    else:
+        got = la.summand_census(phi)
+        assert got == want and got.total_rank == want.total_rank
+    src, tgt = phi.source, phi.target
+    for c in range(len(src.cstar_classes)):
+        word = la.test_word(src, c)
+        for bmap in _feasible_block_maps(src, tgt, c):
+            alpha = _class_alpha(src, tgt, bmap)
+            if alpha is None:
+                continue
+            sv = np.linalg.svd(_dense_product(phi, word, bmap),
+                               compute_uv=False)
+            ((cls, norm, rank),) = la.test_product(phi, alpha).per_class
+            assert cls == c
+            assert abs(norm - sv[0]) <= 1e-12 * max(1.0, sv[0])
+            assert rank == int(np.count_nonzero(sv > 0.5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**9))
+def test_census_matches_brute_force_oracle(seed):
+    rng = np.random.default_rng(seed)
+    phi = random_standard_map(rng, n_max=4, pad=int(rng.integers(0, 3)))
+    num = la.to_numeric(phi)
+    _check_against_oracle(num)
+    h = random_block_hermitian(rng, phi.target)
+    _check_against_oracle(la.conjugate_numeric(unitary_exp(h, 1.0), num))
+
+
+def test_census_oracle_on_rotated_specimen_plus_summand():
+    rot = rotated_specimen()
+    src = rot.source
+    tgt = la.direct_sum_algebra(rot.target, la.tr_algebra(3))
+    images = {}
+    for key, m in rot.images.items():
+        big = np.zeros((tgt.n, tgt.n), dtype=complex)
+        big[:9, :9] = m
+        big[9 + key[0] - 1, 9 + key[1] - 1] = 1.0
+        images[key] = big
+    phi = la.validate_numeric(images, src, tgt)
+    census = la.summand_census(phi)
+    assert census.residual_rank == 6 and len(census.multiset()) == 1
+    _check_against_oracle(phi)
+
+
+def test_census_oracle_at_loose_tolerance():
+    rng = np.random.default_rng(50)
+    phi = la.to_numeric(random_standard_map(rng, n_max=4, copies=2, pad=1))
+    mask = phi.target.support_mask()
+    images = {}
+    for (i, j) in sorted(phi.images):
+        if (j, i) in images:
+            images[(i, j)] = images[(j, i)].conj().T
+            continue
+        noise = rng.normal(size=mask.shape) + 1j * rng.normal(size=mask.shape)
+        if i == j:
+            noise = noise + noise.conj().T
+        images[(i, j)] = phi.images[(i, j)] + 0.01 * noise * mask
+    loose = la.validate_numeric(images, phi.source, phi.target, tol=0.3)
+    assert la.map_distance(loose, phi) > 1e-3
+    _check_against_oracle(loose)
+
+
+def test_census_oracle_on_a_scaled_summand():
+    # the second copy is scaled by 0.8, so its test products have singular
+    # values 0.8^L, between the 1/2 cut and 1: a bound cut too high shows
+    src = la.direct_sum_algebra(la.tr_algebra(2), la.diagonal_algebra(1))
+    tgt = la.direct_sum_algebra(src, src)
+    phi = la.to_numeric(la.assemble_regular(
+        [la.validate_multiplicity_one({i: q * 3 + i for i in range(1, 4)},
+                                      src, tgt) for q in (0, 1)],
+        source=src, target=tgt))
+    d = np.sqrt([1.0] * 3 + [0.8] * 3)
+    images = {k: d[:, None] * m * d[None, :] for k, m in phi.images.items()}
+    scaled = la.validate_numeric(images, src, tgt, tol=0.45)
+    census = la.summand_census(scaled)
+    assert census.residual_rank == 0 and len(census.multiset()) == 4
+    _check_against_oracle(scaled)
+
+
+def _copies_map(r, copies, used):
+    """T_r into copies x T_r, one identity summand in each copy of used."""
+    src = la.tr_algebra(r)
+    tgt = la.direct_sum_algebra(*[la.tr_algebra(r)] * copies)
+    pieces = [la.validate_multiplicity_one(
+        {i: q * r + i for i in range(1, r + 1)}, src, tgt) for q in used]
+    return la.to_numeric(la.assemble_regular(pieces, source=src, target=tgt))
+
+
+def test_census_scores_only_candidates_above_the_bound(monkeypatch):
+    phi = _copies_map(5, 6, [2])
+    scored = []
+
+    def counting(m):
+        scored.append(m.shape)
+        return norm_and_rank(m)
+
+    norm_and_rank = detect._norm_and_rank
+    monkeypatch.setattr(detect, "_norm_and_rank", counting)
+    census = la.summand_census(phi)
+    assert len(scored) == 1
+    assert census.residual_rank == 0 and len(census.multiset()) == 1
+
+
+def test_census_prunes_inside_the_backtracking(monkeypatch):
+    monkeypatch.setattr(detect, "_CENSUS_CAP", 10)
+    phi = _copies_map(6, 4, [0, 3])
+    src, tgt = phi.source, phi.target
+    everything = {r: range(len(tgt.blocks)) for r in range(len(src.blocks))}
+    with pytest.raises(CapacityExceeded):
+        detect._class_candidates(src, tgt, 0, everything)
+    census = la.summand_census(phi)
+    assert census.residual_rank == 0 and len(census.multiset()) == 2
+    # twelve copies leave twelve block maps above the bound
+    with pytest.raises(CapacityExceeded):
+        la.summand_census(_copies_map(3, 12, range(12)))
 
 
 def test_rotated_specimen_not_regular():

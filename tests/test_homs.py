@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import limitalg as la
+from limitalg import homs
 from limitalg.errors import (BlockPartial, EdgeIncompatible, ImageOverlap,
-                             NotInjective, NotStarConsistent, ShapeMismatch)
+                             NotInjective, NotInRange, NotStarConsistent,
+                             ShapeMismatch)
 
 from conftest import (EXACT_PHASES, random_algebra, random_monomial_unitary,
                       random_standard_map)
@@ -113,6 +115,32 @@ def test_validate_numeric_rejects_star_inconsistency():
               (2, 1): np.array([[0, 0], [0.5, 0]], dtype=complex)}
     with pytest.raises(NotStarConsistent):
         la.validate_numeric(images, a, a, tol=1e-9)
+
+
+def test_validate_numeric_prefilter_falls_through_to_spectral_norm():
+    # off-support part X: equal entries d in distinct rows and columns, so
+    # ||X||_2 = d <= tol < 2d = ||X||_F; the product residual is X + d^2 I
+    d, tol = 0.1, 0.12
+    x = np.zeros((4, 4), dtype=complex)
+    for i, j in ((0, 1), (1, 0), (2, 3), (3, 2)):
+        x[i, j] = d
+    assert np.linalg.norm(x) > tol >= la.operator_norm(x)
+    src, tgt = la.diagonal_algebra(1), la.diagonal_algebra(4)
+    la.validate_numeric({(1, 1): np.eye(4) + x}, src, tgt, tol=tol)
+    # just over tol in operator norm, still under 2 tol in Frobenius norm
+    x[2, 3] = x[3, 2] = 0.13
+    with pytest.raises(NotInRange) as err:
+        la.validate_numeric({(1, 1): np.eye(4) + x}, src, tgt, tol=tol)
+    assert err.value.data["residual"] == la.operator_norm(x)
+
+
+def test_validate_numeric_exact_map_needs_no_svd(monkeypatch):
+    def no_svd(m):
+        raise AssertionError("operator_norm called on a zero residual")
+
+    phi = la.to_numeric(la.refinement_map(2, 2, 3))
+    monkeypatch.setattr(homs, "operator_norm", no_svd)
+    la.validate_numeric(dict(phi.images), phi.source, phi.target)
 
 
 def test_validate_numeric_rejects_wrong_shape():
