@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -50,6 +51,8 @@ def _tolerance() -> float:
         raise UsageError(f"LIMITALG_TOL must be a number, got {raw!r}")
     if not v > 0:
         raise UsageError(f"LIMITALG_TOL must be positive, got {raw!r}")
+    if v == math.inf:
+        raise UsageError(f"LIMITALG_TOL must be finite, got {raw!r}")
     return v
 
 

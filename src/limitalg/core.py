@@ -43,9 +43,6 @@ class Digraph:
     def has(self, i: int, j: int) -> bool:
         return (i, j) in self.edges
 
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
-
 
 def _check_relation(n: int, edges: frozenset) -> None:
     if n < 1:
@@ -357,11 +354,6 @@ class StandardPartialIsometry:
                 pairs[i] = self._map[j]
                 phases[i] = other._phase[i] * self._phase[j]
         return StandardPartialIsometry(self.algebra, pairs, phases)
-
-    def ad_unit(self, p: int, q: int) -> tuple:
-        """U e_pq U* for total U: returns (p', q', coefficient)."""
-        lam = self._phase[p] * np.conj(self._phase[q])
-        return self._map[p], self._map[q], lam
 
     def is_block_preserving(self) -> bool:
         bi = self.algebra.block_index

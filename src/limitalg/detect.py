@@ -10,6 +10,7 @@ length.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -384,82 +385,52 @@ def _canonical_from_census(census: SummandCensus, src: DigraphAlgebra,
 
 def _block_diag_intertwiner(phi: NumericStarMap, psi_n: NumericStarMap
                             ) -> Optional[np.ndarray]:
-    """Invertible block-diagonal X with X phi(u) = psi(u) X, or None.
+    """Block-diagonal unitary U with U phi(u) = psi(u) U, or None.
 
-    The solution space is computed from the generator constraints by SVD;
-    an invertible element is then sought as a random combination (the set of
-    invertible solutions is Zariski-open, so a handful of seeded draws
-    suffices whenever one exists).
+    Column p of the kernel K is vec(e_ab m1 - m2 e_ab), row-major, for the
+    p-th block-diagonal parameter (a, b) and each generator's images m1, m2;
+    the generators are the diagonal units and both directions of every
+    class tree edge. K has at least as many rows as columns, so its null
+    space is the trailing rows of the economy SVD's vh. An invertible
+    element is sought among the null vectors, then among 24 seeded random
+    combinations (the invertible solutions are Zariski-open, so a handful of
+    draws suffices whenever one exists). One SVD per target block both tests
+    invertibility and gives the polar factor W V* that becomes U's block.
     """
-    tgt = phi.target
-    n = tgt.n
-    params = []
-    for t, blk in enumerate(tgt.blocks):
-        for a in blk:
-            for b in blk:
-                params.append((a - 1, b - 1))
-    # *-closed spanning generators: diagonals plus class tree edges
+    n = phi.target.n
+    blocks = [np.array(blk) - 1 for blk in phi.target.blocks]
+    a = np.concatenate([np.repeat(idx, len(idx)) for idx in blocks])
+    b = np.concatenate([np.tile(idx, len(idx)) for idx in blocks])
+    p = np.arange(len(a))
     gens = [(i, i) for i in range(1, phi.source.n + 1)]
-    for tree in phi.source.class_trees:
-        for p, c in tree:
-            gens += [(p, c), (c, p)]
-    rows = len(gens) * n * n
-    k = np.zeros((rows, len(params)), dtype=complex)
-    for g, (i, j) in enumerate(gens):
-        m1 = phi.envelope_image(i, j)
-        m2 = psi_n.envelope_image(i, j)
-        base = g * n * n
-        for p, (a, b) in enumerate(params):
-            # vec of e_ab @ m1 - m2 @ e_ab, row-major
-            block = np.zeros((n, n), dtype=complex)
-            block[a, :] += m1[b, :]
-            block[:, b] -= m2[:, a]
-            k[base:base + n * n, p] = block.reshape(-1)
-    if len(params) == 0:
-        return np.zeros((0, 0), dtype=complex)
-    _, sv, vh = np.linalg.svd(k, full_matrices=True)
-    smax = sv[0] if len(sv) else 0.0
-    cut = max(1e-9 * smax, 1e-12)
-    rank = int(np.count_nonzero(sv > cut))
-    if rank == len(params):
-        return None
-    null = vh.conj()[rank:]
-
-    def realize(vec):
-        x = np.zeros((n, n), dtype=complex)
-        for p, (a, b) in enumerate(params):
-            x[a, b] = vec[p]
-        return x
-
-    def invertible(x):
-        for blk in tgt.blocks:
-            idx = [b - 1 for b in blk]
-            sub = x[np.ix_(idx, idx)]
-            s = np.linalg.svd(sub, compute_uv=False)
-            if s[0] == 0 or s[-1] < 1e-8 * max(1.0, s[0]):
-                return False
-        return True
-
+    gens += [e for tree in phi.source.class_trees for (q, c) in tree
+             for e in ((q, c), (c, q))]
+    parts = []
+    for i, j in gens:
+        kg = np.zeros((n, n, len(p)), dtype=complex)
+        kg[a, :, p] = phi.envelope_image(i, j)[b, :]
+        kg[:, b, p] -= psi_n.envelope_image(i, j)[:, a]
+        parts.append(kg.reshape(n * n, len(p)))
+    _, sv, vh = np.linalg.svd(np.vstack(parts), full_matrices=False)
+    # rounding cut-offs, not tol: the kernel's rank cut (1e-9 relative,
+    # 1e-12 absolute) and the least singular value, relative to the largest
+    # or 1, that keeps a block of X invertible (1e-8)
+    null = vh.conj()[int(np.count_nonzero(sv > max(1e-9 * sv[0], 1e-12))):]
     rng = np.random.default_rng(20260818)
-    for vec in null:
-        x = realize(vec)
-        if invertible(x):
-            return x
-    for _ in range(24):
-        coeff = rng.normal(size=len(null)) + 1j * rng.normal(size=len(null))
-        x = realize(coeff @ null)
-        if invertible(x):
-            return x
+    draws = ((rng.normal(size=len(null)) + 1j * rng.normal(size=len(null)))
+             @ null for _ in range(24))
+    for vec in itertools.chain(null, draws):
+        x = np.zeros((n, n), dtype=complex)
+        x[a, b] = vec
+        u = np.zeros_like(x)
+        for idx in blocks:
+            w, s, v = np.linalg.svd(x[np.ix_(idx, idx)])
+            if s[-1] < 1e-8 * max(1.0, s[0]):
+                break
+            u[np.ix_(idx, idx)] = w @ v
+        else:
+            return u
     return None
-
-
-def _polar_blockwise(x: np.ndarray, tgt: DigraphAlgebra) -> np.ndarray:
-    u = np.zeros_like(x)
-    for blk in tgt.blocks:
-        idx = [b - 1 for b in blk]
-        w, _, vh = np.linalg.svd(x[np.ix_(idx, idx)])
-        u[np.ix_(idx, idx)] = w @ vh
-    return u
 
 
 @dataclass
@@ -494,6 +465,11 @@ def is_regular(phi: NumericStarMap,
     zero, a block-diagonal intertwiner against the canonical standard form
     is solved for, polar-corrected to a unitary, and the conjugated map is
     compared with the standard form. The verdict always carries evidence.
+
+    Beyond the census, the cost is one economy SVD of the rows x params
+    kernel, rows = |generators| n^2 and params the sum of the squared
+    target block sizes: O(rows params^2) time and rows params 16 B of
+    memory, plus one SVD per target block for each candidate intertwiner.
     """
     tol = max(phi.tolerance, DEFAULT_TOL) if tol is None else float(tol)
     try:
@@ -507,12 +483,11 @@ def is_regular(phi: NumericStarMap,
                                      reason="unexplained image rank")
     psi = _canonical_from_census(census, phi.source, phi.target)
     psi_n = to_numeric(psi)
-    x = _block_diag_intertwiner(phi, psi_n)
-    if x is None:
+    u = _block_diag_intertwiner(phi, psi_n)
+    if u is None:
         return RegularityCertificate(
             False, census, 0, None, None, None, tol,
             reason="no invertible block-diagonal intertwiner")
-    u = _polar_blockwise(x, phi.target)
     residual = map_distance(conjugate_numeric(u, phi), psi_n)
     ok = residual <= tol
     return RegularityCertificate(

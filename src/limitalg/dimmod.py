@@ -118,9 +118,6 @@ class SemiringElement:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def total_multiplicity(self) -> int:
-        return sum(self._terms.values())
-
     def scale(self, k: int) -> "SemiringElement":
         k = int(k)
         if k < 0:

@@ -15,6 +15,7 @@ forms; a map is "strict" standard when all weights are trivial.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -66,9 +67,6 @@ class IndexMap:
             if a == r:
                 return b
         raise KeyError(r)
-
-    def defined_at(self, r: int) -> bool:
-        return any(a == r for a, _ in self.pairs)
 
     def sort_key(self) -> tuple:
         return self.pairs
@@ -213,15 +211,6 @@ class StandardRegularMap:
     @property
     def is_strict(self) -> bool:
         return not any(s.weighted for s in self.summands)
-
-    def image_support(self) -> frozenset:
-        out = set()
-        for s in self.summands:
-            out |= s.image()
-        return frozenset(out)
-
-    def diag_support(self, i: int) -> frozenset:
-        return frozenset(s(i) for s in self.summands if i in s.domain())
 
     def unit_image(self, i: int, j: int) -> tuple:
         """Image of e_ij as ((a, b, coeff), ...) over contributing summands."""
@@ -565,7 +554,8 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
                      tol: float = DEFAULT_TOL) -> NumericStarMap:
     """Check star consistency, range containment, and multiplicativity.
 
-    Raises the first violated identity with its residual. The
+    images are keyed by exactly the source edges and tol is finite and
+    nonnegative. Raises the first violated identity with its residual. The
     multiplicativity sweep runs over all pairs of envelope matrix units
     (capped on very large classes to generator-anchored products). Every
     residual X is gated on ||X||_2 > tol; since ||X||_2 <= ||X||_F, one
@@ -574,6 +564,8 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
+    if not math.isfinite(tol):
+        raise ValueError("tolerance must be finite")
     work = {}
     for key, m in images.items():
         i, j = (int(key[0]), int(key[1]))
@@ -586,6 +578,10 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
     for (i, j) in sorted(source.edges):
         if (i, j) not in work:
             raise ShapeMismatch(f"missing image for matrix unit ({i},{j})")
+    for (i, j) in sorted(work):
+        if (i, j) not in source.edges:
+            raise ShapeMismatch(
+                f"image given for ({i},{j}), which is not a source edge")
 
     for (i, j) in sorted(source.edges):
         if (j, i) in work and i <= j:

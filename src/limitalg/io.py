@@ -10,6 +10,7 @@ byte-identically. Complex scalars travel as [re, im]; integers stay exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,19 +58,31 @@ def _as_int(doc, pointer: str) -> int:
     return doc
 
 
+def _finite(v, pointer: str) -> float:
+    # json reads NaN, Infinity and integers too large for a float
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        _fail(pointer, f"expected a finite number, got {v!r}")
+    return x
+
+
 def _as_real(doc, pointer: str) -> float:
     if isinstance(doc, bool) or not isinstance(doc, (int, float)):
         _fail(pointer, f"expected a number, got {doc!r}")
-    return float(doc)
+    return _finite(doc, pointer)
 
 
 def _as_complex(doc, pointer: str) -> complex:
     if isinstance(doc, (int, float)) and not isinstance(doc, bool):
-        return complex(doc)
+        return complex(_finite(doc, pointer))
     if (isinstance(doc, list) and len(doc) == 2
             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                     for v in doc)):
-        return complex(doc[0], doc[1])
+        return complex(_finite(doc[0], pointer + "/0"),
+                       _finite(doc[1], pointer + "/1"))
     _fail(pointer, f"expected a number or [re, im] pair, got {doc!r}")
 
 

@@ -24,7 +24,7 @@ from conftest import (assemble_band_map, random_algebra,
                       uhf_system, unitary_exp)
 from test_conjugacy import (random_projection_family, transported_family,
                             weighted_without_breaking)
-from test_detect import unit9
+from test_detect import rotated_specimen_angle
 from test_dimmod import fib_system
 from test_spectrum import refinement_tower
 
@@ -343,25 +343,6 @@ MONO3 = [th for th in itertools.product((1, 2, 3), repeat=3)
          if th[0] <= th[1] <= th[2]]
 
 
-def rotated_specimen_angle(t):
-    """Middle isometry split across two column bands by the angle t."""
-    src = la.tr_algebra(3)
-    tgt = la.tr_algebra(3, 3)
-    c, s = np.cos(t), np.sin(t)
-    e12 = unit9(1, 3) + unit9(2, 4)
-    e23 = (c * unit9(3, 5) + s * unit9(3, 7)
-           + s * unit9(4, 5) - c * unit9(4, 7))
-    images = {
-        (1, 1): unit9(1, 1) + unit9(2, 2),
-        (2, 2): unit9(3, 3) + unit9(4, 4),
-        (3, 3): unit9(5, 5) + unit9(7, 7),
-        (1, 2): e12,
-        (2, 3): e23,
-        (1, 3): e12 @ e23,
-    }
-    return la.validate_numeric(images, src, tgt)
-
-
 def _band_ranks(psi):
     tgt = psi.target
     out = np.zeros((3, 3), dtype=int)
@@ -477,6 +458,9 @@ def test_a8_regularity_decision():
         assert oracle == constructed_regular
         cert = la.is_regular(psi, tol=1e-9)
         assert cert.regular == oracle
+        if not constructed_regular:
+            assert cert.reason == "no invertible block-diagonal intertwiner"
+            assert cert.residual_rank == 0
         agreements += 1
     _checkline(8, "regularity agrees with the brute-force oracle",
                f"{agreements}/20, 5 non-regular specimens")

@@ -2,6 +2,8 @@
 regularity decision, and close-conjugacy witnesses."""
 
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +36,25 @@ def rotated_specimen():
     s = 1.0 / np.sqrt(2.0)
     e12 = unit9(1, 3) + unit9(2, 4)
     e23 = s * (unit9(3, 5) + unit9(3, 7) + unit9(4, 5) - unit9(4, 7))
+    images = {
+        (1, 1): unit9(1, 1) + unit9(2, 2),
+        (2, 2): unit9(3, 3) + unit9(4, 4),
+        (3, 3): unit9(5, 5) + unit9(7, 7),
+        (1, 2): e12,
+        (2, 3): e23,
+        (1, 3): e12 @ e23,
+    }
+    return la.validate_numeric(images, src, tgt)
+
+
+def rotated_specimen_angle(t):
+    """Middle isometry split across two column bands by the angle t."""
+    src = la.tr_algebra(3)
+    tgt = la.tr_algebra(3, 3)
+    c, s = np.cos(t), np.sin(t)
+    e12 = unit9(1, 3) + unit9(2, 4)
+    e23 = (c * unit9(3, 5) + s * unit9(3, 7)
+           + s * unit9(4, 5) - c * unit9(4, 7))
     images = {
         (1, 1): unit9(1, 1) + unit9(2, 2),
         (2, 2): unit9(3, 3) + unit9(4, 4),
@@ -354,6 +375,81 @@ def test_is_regular_standard_input():
     cert = la.is_regular(phi)
     assert cert.regular
     assert cert.residual <= 1e-12
+
+
+def _loop_kernel(phi, psi_n):
+    """The intertwiner kernel built one (generator, parameter) at a time."""
+    n = phi.target.n
+    params = [(a - 1, b - 1) for blk in phi.target.blocks
+              for a in blk for b in blk]
+    gens = [(i, i) for i in range(1, phi.source.n + 1)]
+    for tree in phi.source.class_trees:
+        for p, c in tree:
+            gens += [(p, c), (c, p)]
+    k = np.zeros((len(gens) * n * n, len(params)), dtype=complex)
+    for g, (i, j) in enumerate(gens):
+        m1 = phi.envelope_image(i, j)
+        m2 = psi_n.envelope_image(i, j)
+        for p, (a, b) in enumerate(params):
+            block = np.zeros((n, n), dtype=complex)
+            block[a, :] += m1[b, :]
+            block[:, b] -= m2[:, a]
+            k[g * n * n:(g + 1) * n * n, p] = block.reshape(-1)
+    return k
+
+
+def _solve_with_kernel_check(phi):
+    """Run the intertwiner solve; its kernel must equal the loop-built one."""
+    census = la.summand_census(phi)
+    assert census.residual_rank == 0
+    psi = detect._canonical_from_census(census, phi.source, phi.target)
+    psi_n = la.to_numeric(psi)
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        u = detect._block_diag_intertwiner(phi, psi_n)
+    kernels = [c.args[0] for c in svd.call_args_list
+               if c.kwargs.get("full_matrices") is False]
+    assert len(kernels) == 1
+    assert np.array_equal(kernels[0], _loop_kernel(phi, psi_n))
+    return u, psi_n
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**9), st.floats(0.1, 1.5))
+def test_intertwiner_kernel_and_unitary_oracle(seed, eps):
+    rng = np.random.default_rng(seed)
+    phi = random_standard_map(rng, n_max=3, exact=bool(seed % 2))
+    h = random_block_hermitian(rng, phi.target)
+    moved = la.conjugate_numeric(unitary_exp(h, eps), la.to_numeric(phi))
+    u, psi_n = _solve_with_kernel_check(moved)
+    tol = max(moved.tolerance, la.DEFAULT_TOL)
+    off = np.ones(u.shape, dtype=bool)
+    for blk in phi.target.blocks:
+        idx = [b - 1 for b in blk]
+        off[np.ix_(idx, idx)] = False
+    assert not u[off].any()
+    assert la.operator_norm(u.conj().T @ u - np.eye(len(u))) <= tol
+    assert la.map_distance(la.conjugate_numeric(u, moved), psi_n) <= tol
+
+
+@settings(max_examples=10, deadline=None)
+# at pi/4 the test products' singular values sit on the 1/2 cut, so the
+# census there depends on the last bit of cos and sin
+@given(st.floats(0.25, 1.3).filter(lambda t: abs(t - np.pi / 4) > 1e-6))
+def test_intertwiner_kernel_oracle_on_rotated_specimens(angle):
+    u, _ = _solve_with_kernel_check(rotated_specimen_angle(angle))
+    assert u is None
+
+
+def test_is_regular_memory_is_bounded_by_the_economy_kernel():
+    phi = la.to_numeric(la.refinement_map(3, 2, 2))
+    tracemalloc.start()
+    try:
+        cert = la.is_regular(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.regular
+    assert peak <= 16 * 2 ** 20
 
 
 def test_close_conjugacy_round_trip():

@@ -149,6 +149,20 @@ def test_validate_numeric_rejects_wrong_shape():
         la.validate_numeric({(1, 1): np.eye(3)}, a, la.diagonal_algebra(2))
 
 
+def test_validate_numeric_rejects_non_edges_and_unbounded_tolerance():
+    phi = la.to_numeric(la.refinement_map(2, 1, 2))
+    zero = np.zeros((4, 4), dtype=complex)
+    # (2, 1) is the adjoint of an edge, (5, 7) is out of range
+    for key in ((2, 1), (5, 7)):
+        with pytest.raises(ShapeMismatch, match="not a source edge"):
+            la.validate_numeric({**phi.images, key: zero},
+                                phi.source, phi.target)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            la.validate_numeric(dict(phi.images), phi.source, phi.target,
+                                tol=tol)
+
+
 def test_weighted_summand_unit_coeffs():
     a = la.tr_algebra(2)
     s = la.validate_multiplicity_one({1: 1, 2: 2}, a, a,

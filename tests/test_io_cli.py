@@ -426,3 +426,67 @@ def test_cli_subprocess_entry(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert len(doc["summands"]) == 2
+
+
+def _write_raw(path, doc):
+    # json.dumps, unlike canonical_dumps, writes NaN and Infinity
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _typed_failure(argv, capsys, want):
+    code = main(argv)
+    out = capsys.readouterr()
+    err = json.loads(out.out)["error"]
+    assert (code, err["type"], out.err) == (2, want, "")
+    return err
+
+
+def test_cli_rejects_non_edge_images_and_non_finite_numbers(
+        tmp_path, monkeypatch, capsys):
+    doc = iolib.encode_map(la.to_numeric(la.refinement_map(2, 1, 2)))
+    zero = [[0.0] * 4 for _ in range(4)]
+    for k, (i, j) in enumerate(((5, 7), (2, 1))):
+        bad = dict(doc, images=doc["images"] + [
+            {"i": i, "j": j, "matrix": zero}])
+        p = _write_raw(tmp_path / f"edge{k}.json", bad)
+        err = _typed_failure(["regular-test", "--map", p], capsys,
+                             "ShapeMismatch")
+        assert f"({i},{j})" in err["message"]
+
+    for k, value in enumerate((float("nan"), float("inf"), -float("inf"))):
+        p = _write_raw(tmp_path / f"tol{k}.json", dict(doc, tolerance=value))
+        for verb in ("regular-test", "standardize", "detect"):
+            err = _typed_failure([verb, "--map", p], capsys, "SchemaError")
+            assert err["data"] == {"pointer": "/tolerance"}
+
+    # an unbounded tolerance would switch validation off entirely
+    loose = json.loads(json.dumps(doc))
+    loose["images"][0]["matrix"][0][0] = [5.0, 0.0]
+    loose["tolerance"] = float("inf")
+    p = _write_raw(tmp_path / "loose.json", loose)
+    _typed_failure(["detect", "--map", p], capsys, "SchemaError")
+
+    cell = json.loads(json.dumps(doc))
+    cell["images"][0]["matrix"][0][1] = [0.0, float("nan")]
+    p = _write_raw(tmp_path / "cell.json", cell)
+    err = _typed_failure(["detect", "--map", p], capsys, "SchemaError")
+    assert err["data"] == {"pointer": "/images/0/matrix/0/1/1"}
+    # an integer too large for a float is not finite either
+    cell["images"][0]["matrix"][0][1] = 10 ** 400
+    p = _write_raw(tmp_path / "huge.json", cell)
+    err = _typed_failure(["detect", "--map", p], capsys, "SchemaError")
+    assert err["data"] == {"pointer": "/images/0/matrix/0/1"}
+
+    good = write_json(tmp_path / "good.json", doc)
+    sys_path = write_json(tmp_path / "s2.json",
+                          iolib.encode_system(uhf_system(2, 2)))
+    argvs = [["validate", good], ["decompose", "--map", good],
+             ["conjugacy", "--lhs", good, "--rhs", good],
+             ["standardize", "--map", good], ["intertwine", "--diagram", good],
+             ["detect", "--map", good], ["regular-test", "--map", good],
+             ["spectrum", "--system", sys_path, "--depth", "1"],
+             ["dimmod", "--system", sys_path]]
+    monkeypatch.setenv("LIMITALG_TOL", "inf")
+    for argv in argvs:
+        _typed_failure(argv, capsys, "UsageError")
