@@ -14,7 +14,6 @@ forms; a map is "strict" standard when all weights are trivial.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -554,13 +553,35 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
                      tol: float = DEFAULT_TOL) -> NumericStarMap:
     """Check star consistency, range containment, and multiplicativity.
 
-    images are keyed by exactly the source edges and tol is finite and
-    nonnegative. Raises the first violated identity with its residual. The
-    multiplicativity sweep runs over all pairs of envelope matrix units
-    (capped on very large classes to generator-anchored products). Every
-    residual X is gated on ||X||_2 > tol; since ||X||_2 <= ||X||_F, one
-    whose Frobenius norm is within tol passes without an SVD, and a raised
-    error carries the spectral residual.
+    images are keyed by exactly the source edges, with finite entries, and
+    tol is finite and nonnegative. Raises the first violated identity with
+    its residual. The multiplicativity sweep runs over all pairs of
+    envelope matrix units (capped on very large classes to
+    generator-anchored products). Every residual X is gated on
+    ||X||_2 > tol; since ||X||_2 <= ||X||_F, one whose Frobenius norm is
+    within tol passes without an SVD, and a raised error carries the
+    spectral residual.
+
+    Exactness. Each check takes the Frobenius norms of all its residuals
+    in one batch, flags those above tol (1 - 1e-9) - delta, and recomputes
+    only the flagged ones with the per-item expression, in the per-item
+    order; so the verdict, the item named and the residual bits are those
+    of a per-item loop. Star and range residuals are formed entry for entry
+    as in that loop, so delta = 0. For a product E_a E_b the batch may sum
+    in another order, and two such products of inner dimension <= n differ
+    entrywise by at most 2 sqrt(2) gamma_2n |E_a||E_b| (Higham, Accuracy
+    and Stability of Numerical Algorithms, 3.5), whose Frobenius norm is
+    below delta_ab = 8 n eps ||E_a||_F ||E_b||_F, eps = 2^-52. The other
+    roundings (subtraction, norms, SVD) are relative and far below the 1e-9
+    margin, so a pair the per-pair loop rejects is always flagged. At
+    tol = 0 every pair with nonzero norms is recomputed.
+
+    Cost. When every envelope image is exactly zero off the diagonal
+    blocks of the target's C*-classes, so is every product and residual,
+    and the sweep multiplies only those blocks: u^2 sum_B m_B^3 flops for
+    u envelope units and blocks of sizes m_B, against u^2 n^3 pair by pair,
+    as one gemm per block in chunks of bounded size (_CHUNK_BYTES).
+    Otherwise it multiplies one block of all n indices.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
@@ -574,6 +595,8 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
             raise ShapeMismatch(
                 f"image of ({i},{j}) has shape {arr.shape}, "
                 f"expected ({target.n},{target.n})")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"image of ({i},{j}) has a non-finite entry")
         work[(i, j)] = arr
     for (i, j) in sorted(source.edges):
         if (i, j) not in work:
@@ -583,34 +606,116 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
             raise ShapeMismatch(
                 f"image given for ({i},{j}), which is not a source edge")
 
-    for (i, j) in sorted(source.edges):
-        if (j, i) in work and i <= j:
-            res = _residual_over(work[(j, i)] - work[(i, j)].conj().T, tol)
-            if res is not None:
-                raise NotStarConsistent(i, j, res)
+    env = _envelope_extension(work, source)
+    units = sorted(env)
+    stack = np.stack([env[u] for u in units])
+    stack.setflags(write=False)
+    env = dict(zip(units, stack))
+    pos = {u: p for p, u in enumerate(units)}
+    cut = tol * (1 - 1e-9)
+
+    star = [(i, j) for (i, j) in sorted(source.edges)
+            if (j, i) in work and i <= j]
+    a = [pos[(j, i)] for i, j in star]
+    b = [pos[(i, j)] for i, j in star]
+    for (p,) in _flagged(_frob2(stack[a] - stack[b].conj().transpose(0, 2, 1)),
+                         cut):
+        i, j = star[p]
+        res = _residual_over(work[(j, i)] - work[(i, j)].conj().T, tol)
+        if res is not None:
+            raise NotStarConsistent(i, j, res)
 
     mask = target.support_mask()
-    for (i, j) in sorted(work):
+    given = sorted(work)
+    # the float view interleaves real and imaginary parts along a row
+    v = stack.view(float)
+    offsq = np.einsum("pij,pij,ij->p", v, v, np.repeat(~mask, 2, axis=1) * 1.0)
+    for (p,) in _flagged(offsq[[pos[k] for k in given]], cut):
+        i, j = given[p]
         off = work[(i, j)].copy()
         off[mask] = 0.0
         res = _residual_over(off, tol)
         if res is not None:
             raise NotInRange(i, j, res)
 
-    env = _envelope_extension(work, source)
-    units = sorted(env)
-    n_units = len(units)
-    if n_units * n_units <= _SWEEP_CAP:
-        pairs = itertools.product(units, units)
+    cls = np.array([target.class_index(i) for i in range(1, target.n + 1)])
+    if ((stack != 0) & (cls[:, None] != cls)).any():
+        blocks = [np.arange(target.n)]
+    else:
+        blocks = [np.array(c) - 1 for c in target.cstar_classes]
+    if len(units) ** 2 <= _SWEEP_CAP:
+        _sweep_products(units, stack, blocks, tol, units, units)
     else:
         anchors = [u for u in units if u in work] or units
-        pairs = itertools.chain(
-            ((a, u) for a in anchors for u in units),
-            ((u, a) for u in units for a in anchors))
-    ci = source.class_index
-    for (i, j), (k, l) in pairs:
+        _sweep_products(units, stack, blocks, tol, anchors, units)
+        _sweep_products(units, stack, blocks, tol, units, anchors)
+
+    out = NumericStarMap(source, target, work, tol)
+    out._env = env
+    return out
+
+
+# bytes of one chunk of batched products; with its temporaries the sweep's
+# working set stays near 1 MiB
+_CHUNK_BYTES = 1 << 19
+
+
+def _frob2(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each x[p], for complex x."""
+    v = np.ascontiguousarray(x).reshape(len(x), -1).view(float)
+    return np.einsum("ij,ij->i", v, v)
+
+
+def _flagged(sq: np.ndarray, cut) -> Iterable:
+    """Index tuples, row-major, where sqrt(sq) is not <= cut (NaN is)."""
+    return zip(*np.nonzero(~(np.sqrt(sq) <= cut)))
+
+
+def _sweep_products(units: list, stack: np.ndarray, blocks: list,
+                    tol: float, left: list, right: list) -> None:
+    """Raise NotMultiplicative at the first failing pair of left x right.
+
+    stack[p] is the image of units[p]; blocks are the target index arrays
+    whose diagonal blocks carry every product. Pairs are taken in
+    row-major order, as itertools.product(left, right); validate_numeric
+    documents the batched flag test and its margin.
+    """
+    at = np.zeros((max(map(max, units)) + 1,) * 2, dtype=int)
+    at[tuple(np.array(units).T)] = np.arange(len(units))
+    lu, ru = np.array(left), np.array(right)
+    li, ri = at[lu[:, 0], lu[:, 1]], at[ru[:, 0], ru[:, 1]]
+    # rows (p, q, e): left[p] = e_ij, right[q] = e_jl, e = position of e_il
+    p, q = np.nonzero(lu[:, 1, None] == ru[:, 0])
+    trip = np.stack([p, q, at[lu[p, 0], ru[q, 1]]], axis=1)
+    sq = np.zeros((len(left), len(right)))
+    for idx in blocks:
+        sb = stack[:, idx[:, None], idx]
+        if not sb.any():
+            continue
+        m = len(idx)
+        lhs = sb[li].reshape(-1, m)
+        rhs = sb[ri].transpose(1, 0, 2).reshape(m, -1)
+        cb = max(1, min(len(right), _CHUNK_BYTES // (16 * m * m)))
+        ca = max(1, _CHUNK_BYTES // (16 * m * m * cb))
+        for a0 in range(0, len(left), ca):
+            a1 = min(a0 + ca, len(left))
+            for b0 in range(0, len(right), cb):
+                b1 = min(b0 + cb, len(right))
+                t = trip[(trip[:, 0] >= a0) & (trip[:, 0] < a1)
+                         & (trip[:, 1] >= b0) & (trip[:, 1] < b1)]
+                sq[a0:a1, b0:b1] += _chunk_residuals(
+                    lhs[a0 * m:a1 * m], rhs[:, b0 * m:b1 * m],
+                    t - (a0, b0, 0), sb)
+    eps = np.finfo(float).eps
+    norms = np.sqrt(_frob2(stack))
+    cut = (tol * (1 - 1e-9)
+           - 8 * stack.shape[1] * eps * np.outer(norms[li], norms[ri]))
+    env = dict(zip(units, stack))
+    for p, q in _flagged(sq, cut):
+        (i, j), (k, l) = left[p], right[q]
         prod = env[(i, j)] @ env[(k, l)]
-        if j == k and ci(i) == ci(l):
+        # units never leave a class, so j == k puts e_il in the envelope
+        if j == k:
             expected = env[(i, l)]
         else:
             expected = 0.0
@@ -618,15 +723,20 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
         if res is not None:
             raise NotMultiplicative((i, j), (k, l), res)
 
-    out = NumericStarMap(source, target, work, tol)
-    out._env = {k: _frozen(v) for k, v in env.items()}
-    return out
 
+def _chunk_residuals(lhs: np.ndarray, rhs: np.ndarray, trip: np.ndarray,
+                     sb: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of E_a E_b - expected over one chunk.
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    a = np.array(arr, dtype=complex)
-    a.setflags(write=False)
-    return a
+    lhs stacks the left units' rows, rhs the right units' columns (m each);
+    trip rows (p, q, e) subtract sb[e] from the product of chunk pair (p, q).
+    """
+    m = rhs.shape[0]
+    ca, cb = len(lhs) // m, rhs.shape[1] // m
+    prod = lhs @ rhs
+    prod.reshape(ca, m, cb, m)[trip[:, 0], :, trip[:, 1], :] -= sb[trip[:, 2]]
+    v = prod.view(float).reshape(ca, m, cb, 2 * m)
+    return np.einsum("aibj,aibj->ab", v, v)
 
 
 def _trusted_numeric(source, target, images: dict, tol: float) -> NumericStarMap:

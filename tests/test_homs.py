@@ -1,5 +1,8 @@
 """Map layer: validation, decomposition, composition, numeric round-trips."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import limitalg as la
 from limitalg import homs
 from limitalg.errors import (BlockPartial, EdgeIncompatible, ImageOverlap,
-                             NotInjective, NotInRange, NotStarConsistent,
+                             LimitalgError, NotInjective, NotInRange,
+                             NotMultiplicative, NotStarConsistent,
                              ShapeMismatch)
 
 from conftest import (EXACT_PHASES, random_algebra, random_monomial_unitary,
@@ -242,3 +246,239 @@ def test_unitary_then_ad_combinatorial_vs_dense():
     assert isinstance(moved, la.StandardRegularMap)
     dense = la.conjugate_numeric(w.matrix(), la.to_numeric(phi))
     assert la.map_distance(la.to_numeric(moved), dense) <= 1e-12
+
+
+def test_validate_numeric_rejects_non_finite_entries():
+    phi = la.to_numeric(la.refinement_map(2, 1, 2))
+    for bad in (np.nan, np.inf, -np.inf):
+        images = {k: np.array(m) for k, m in phi.images.items()}
+        images[(1, 2)][0, 1] = bad
+        with pytest.raises(ValueError,
+                           match=r"image of \(1,2\) has a non-finite"):
+            la.validate_numeric(images, phi.source, phi.target)
+
+
+# per-item validation loop, kept as the oracle for the batched checks
+
+
+def reference_validate(images, source, target, tol):
+    """validate_numeric as one residual per star pair, image and unit pair.
+
+    Returns the envelope; raises what validate_numeric raises.
+    """
+    work = {k: np.asarray(m, dtype=complex) for k, m in images.items()}
+    for (i, j) in sorted(source.edges):
+        if (j, i) in work and i <= j:
+            res = homs._residual_over(work[(j, i)] - work[(i, j)].conj().T,
+                                      tol)
+            if res is not None:
+                raise NotStarConsistent(i, j, res)
+    mask = target.support_mask()
+    for (i, j) in sorted(work):
+        off = work[(i, j)].copy()
+        off[mask] = 0.0
+        res = homs._residual_over(off, tol)
+        if res is not None:
+            raise NotInRange(i, j, res)
+    env = homs._envelope_extension(work, source)
+    units = sorted(env)
+    if len(units) ** 2 <= homs._SWEEP_CAP:
+        pairs = itertools.product(units, units)
+    else:
+        anchors = [u for u in units if u in work] or units
+        pairs = itertools.chain(
+            ((a, u) for a in anchors for u in units),
+            ((u, a) for u in units for a in anchors))
+    ci = source.class_index
+    for (i, j), (k, l) in pairs:
+        prod = env[(i, j)] @ env[(k, l)]
+        if j == k and ci(i) == ci(l):
+            expected = env[(i, l)]
+        else:
+            expected = 0.0
+        res = homs._residual_over(prod - expected, tol)
+        if res is not None:
+            raise NotMultiplicative((i, j), (k, l), res)
+    return env
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except LimitalgError as err:
+        data = dict(err.data)
+        return type(err), data, data["residual"].hex()
+    env = out if isinstance(out, dict) else out._envelope()
+    return "accepted", {k: env[k].tobytes() for k in sorted(env)}
+
+
+def _block_unitary(rng, a):
+    """Haar-random unitary in the block diagonal of a."""
+    u = np.zeros((a.n, a.n), dtype=complex)
+    for blk in a.blocks:
+        k = len(blk)
+        q, r = np.linalg.qr(rng.normal(size=(k, k))
+                            + 1j * rng.normal(size=(k, k)))
+        idx = np.array(blk) - 1
+        u[np.ix_(idx, idx)] = q * (np.diag(r) / np.abs(np.diag(r)))
+    return u
+
+
+def _conjugated(u, images):
+    return {k: u @ np.asarray(m) @ u.conj().T for k, m in images.items()}
+
+
+def _perturbed(rng, images, target, key, size, kind):
+    """Move the image of key by a matrix of operator norm size.
+
+    "scale" multiplies the image by (1 + size); "support" adds a random
+    matrix inside the target's support (Hermitian and inside its diagonal
+    blocks for a diagonal unit, so star consistency is kept there).
+    """
+    out = {k: np.array(m) for k, m in images.items()}
+    if kind == "scale":
+        out[key] = out[key] * (1 + size)
+        return out
+    mask = target.support_mask()
+    if key[0] == key[1]:
+        mask = mask & mask.T
+    y = (rng.normal(size=mask.shape) + 1j * rng.normal(size=mask.shape)) * mask
+    if key[0] == key[1]:
+        y = y + y.conj().T
+    out[key] = out[key] + size * y / la.operator_norm(y)
+    return out
+
+
+def _multi_block_images(rng):
+    """Images of a standard map into a sum of two or three targets."""
+    src = random_algebra(rng, n_max=4)
+    parts = [random_standard_map(rng, source=src, n_max=4)
+             for _ in range(int(rng.integers(2, 4)))]
+    phi = parts[0]
+    for psi in parts[1:]:
+        phi = la.direct_sum(phi, psi)
+    return phi, dict(la.to_numeric(phi).images)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([0.5, 0.999, 1.001, 2.0]),
+       st.sampled_from(["scale", "support"]),
+       st.sampled_from(["blocks", "off-block", "zero-tol", "rounding"]))
+def test_batched_validation_matches_per_item_loop(seed, factor, kind, case):
+    """Same acceptance, error, pair and residual bits as the per-item loop.
+
+    blocks: a unit perturbed by factor x tol, target exactly zero off its
+    C*-classes; off-block: plus one entry of factor x tol between two
+    classes (the one-block sweep); zero-tol: tol = 0, conjugated or not;
+    rounding: tol = factor x the first product residual of a conjugated
+    exact map, made of rounding, where the batched and per-pair products
+    round differently.
+    """
+    rng = np.random.default_rng(seed)
+    phi, images = _multi_block_images(rng)
+    src, tgt = phi.source, phi.target
+    tol = 0.0 if case == "zero-tol" else float(rng.choice([1e-9, 1e-4]))
+    if case != "zero-tol" or rng.random() < 0.5:
+        images = _conjugated(_block_unitary(rng, tgt), images)
+    keys = sorted(images)
+    key = keys[int(rng.integers(len(keys)))]
+    if case in ("blocks", "off-block"):
+        images = _perturbed(rng, images, tgt, key, factor * tol, kind)
+    if case == "off-block":
+        # one entry between two target C*-classes, so off the range too
+        first, second = tgt.cstar_classes[0], tgt.cstar_classes[1]
+        images[key][first[0] - 1, second[-1] - 1] += factor * tol
+    if case == "rounding":
+        # star-consistent to the last bit, so the first residual at tol = 0
+        # is a product's
+        for (i, j) in keys:
+            if i == j:
+                images[(i, i)] = (images[(i, i)] + images[(i, i)].conj().T) / 2
+            elif i < j and (j, i) in images:
+                images[(j, i)] = images[(i, j)].conj().T
+        exact = _outcome(reference_validate, images, src, tgt, 0.0)
+        tol = 0.0 if exact[0] == "accepted" else factor * exact[1]["residual"]
+    got = _outcome(la.validate_numeric, images, src, tgt, tol)
+    want = _outcome(reference_validate, images, src, tgt, tol)
+    assert got == want
+
+
+def test_sweep_splits_exactly_block_diagonal_targets_only(monkeypatch):
+    seen = []
+    sweep = homs._sweep_products
+
+    def spy(units, stack, blocks, *rest):
+        seen.append(len(blocks))
+        return sweep(units, stack, blocks, *rest)
+
+    monkeypatch.setattr(homs, "_sweep_products", spy)
+    rng = np.random.default_rng(5)
+    phi, images = _multi_block_images(rng)
+    images = _conjugated(_block_unitary(rng, phi.target), images)
+    la.validate_numeric(images, phi.source, phi.target)
+    assert seen == [len(phi.target.cstar_classes)] and seen[0] > 1
+    # an off-block entry far inside tol sends the sweep to one block
+    first, second = phi.target.cstar_classes[:2]
+    images[(1, 1)][first[0] - 1, second[0] - 1] = 1e-12
+    la.validate_numeric(images, phi.source, phi.target)
+    assert seen[1:] == [1]
+
+
+def test_anchored_sweep_names_the_reference_pair(monkeypatch):
+    # the V algebra (1 -> 3 <- 2) leaves the envelope units (1,2), (2,1),
+    # (3,1), (3,2) ungiven, so the anchored sweep meets another failing
+    # pair first than the full sweep does
+    v = la.build_digraph_algebra(3, [(1, 1), (2, 2), (3, 3), (1, 3), (2, 3)])
+    phi = la.direct_sum(la.identity_map(v), la.identity_map(v))
+    images = dict(la.to_numeric(phi).images)
+    images[(1, 3)] = images[(1, 3)] * (1 + 1e-6)
+    args = (images, phi.source, phi.target, 1e-9)
+    full = _outcome(reference_validate, *args)
+    monkeypatch.setattr(homs, "_SWEEP_CAP", 1)
+    anchored = _outcome(reference_validate, *args)
+    assert anchored[0] is NotMultiplicative and anchored != full
+    assert _outcome(la.validate_numeric, *args) == anchored
+
+
+def _census_t5_images():
+    # two copies of T5 into the first two of three T5 x M2 summands
+    src = la.tr_algebra(5)
+    tgt = la.direct_sum_algebra(*[la.tr_algebra(5, 2)] * 3)
+    pieces = [la.validate_multiplicity_one(
+        {t: 10 * c + 2 * (t - 1) + 1 + c for t in range(1, 6)}, src, tgt)
+        for c in range(2)]
+    phi = la.assemble_regular(pieces)
+    rng = np.random.default_rng(201)
+    return _conjugated(_block_unitary(rng, tgt),
+                       la.to_numeric(phi).images), src, tgt
+
+
+def _eight_images():
+    a = la.tr_algebra(2, 4)
+    rng = np.random.default_rng(8)
+    images = la.to_numeric(la.identity_map(a)).images
+    return _conjugated(_block_unitary(rng, a), images), a, a
+
+
+def test_valid_map_recomputes_no_residual(monkeypatch):
+    # every batched residual of a valid map clears its margin, so no star,
+    # range or product residual is recomputed one by one
+    images, src, tgt = _census_t5_images()
+    calls = []
+    monkeypatch.setattr(homs, "_residual_over",
+                        lambda x, tol: calls.append(tol))
+    la.validate_numeric(images, src, tgt)
+    assert calls == []
+
+
+@pytest.mark.parametrize("build", [_census_t5_images, _eight_images],
+                         ids=["T5-into-3xT5xM2", "tr2x4-identity"])
+def test_validate_numeric_working_set_is_bounded(build):
+    images, src, tgt = build()
+    tracemalloc.start()
+    try:
+        la.validate_numeric(images, src, tgt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
