@@ -23,7 +23,8 @@ from .intertwine import (CorrectedDiagram, CrossoverDiagram, DiagramReport,
                          DirectSystem, approx_intertwine, exact_intertwine,
                          verify_diagram)
 from .spectrum import (BratteliPath, CylinderRelation, DepthComparison,
-                       RelationStatistics, cylinder_relation, path_space,
+                       RelationStatistics, compare_relations,
+                       cylinder_relation, path_space,
                        relation_isomorphic_at_depth)
 from .dimmod import (DISTINCT, EQUAL, NOT_YET_DISTINGUISHABLE, GroupElement,
                      LimitPresentation, ModuleMapMatrix, MonotoneMap,

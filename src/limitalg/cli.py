@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from .errors import (CensusMismatch, InconsistentRanks, InternalError,
                      UsageError)
 from .homs import DEFAULT_TOL, StandardRegularMap, Unitary, to_numeric
 from .intertwine import approx_intertwine, exact_intertwine
-from .spectrum import cylinder_relation, path_space, relation_isomorphic_at_depth
+from .spectrum import compare_relations, cylinder_relation
 
 _VERBS = ("validate", "decompose", "conjugacy", "standardize", "intertwine",
           "detect", "regular-test", "spectrum", "dimmod")
@@ -270,16 +271,15 @@ def _cmd_spectrum(ns, tol: float):
                                default_tol=tol)
     if ns.depth < 1:
         raise UsageError("--depth must be at least 1")
-    paths = path_space(system, ns.depth)
     rel = cylinder_relation(system, ns.depth)
-    report = {"depth": ns.depth, "path_count": len(paths),
-              "paths": [p.as_payload() for p in paths],
+    report = {"depth": ns.depth, "path_count": len(rel.paths),
+              "paths": rel.paths.tolist(),
               "relation": rel.as_payload(),
               "statistics": rel.statistics().as_payload(),
               "tolerance": tol}
     if ns.compare:
         other = iolib.load_object(ns.compare, "system", default_tol=tol)
-        comp = relation_isomorphic_at_depth(system, other, ns.depth)
+        comp = compare_relations(rel, cylinder_relation(other, ns.depth))
         report["comparison"] = comp.as_payload()
         return (0 if comp.verdict == "compatible" else 1), report
     return 0, report
@@ -402,6 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _dispatch(ns) -> tuple:
     try:
         tol = _tolerance()
@@ -420,13 +426,13 @@ def run_command(verb: str, args: list) -> tuple:
     """Run one verb with its own arguments; returns (exit code, report)."""
     if verb not in _HANDLERS:
         raise UsageError(f"unknown verb {verb!r}")
-    ns = build_parser().parse_args([verb] + list(args))
+    ns = _parser().parse_args([verb] + list(args))
     return _dispatch(ns)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     code, report = _dispatch(ns)
     text = iolib.canonical_dumps(report)
     sys.stdout.write(text)

@@ -21,7 +21,10 @@ Indices are 1-based throughout; all containers are immutable after build.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -53,16 +56,23 @@ def _check_relation(n: int, edges: frozenset) -> None:
     for i in range(1, n + 1):
         if (i, i) not in edges:
             raise NotReflexive(i)
-    succ = {i: set() for i in range(1, n + 1)}
+    # successor lists, and successor sets as int bitmasks (bit j for j)
+    succ = [[] for _ in range(n + 1)]
+    bits = [0] * (n + 1)
     for (i, j) in edges:
-        succ[i].add(j)
-    # the least witness (i, j, k) in scan order, with k found only for the
-    # first (i, j) whose subset test fails
+        succ[i].append(j)
+        bits[i] |= 1 << j
+    # the least witness (i, j, k) in scan order: the first j of i whose
+    # successors are not all successors of i, and the least such k
     for i in range(1, n + 1):
-        for j in sorted(succ[i]):
-            if not succ[j] <= succ[i]:
-                k = min(succ[j] - succ[i])
-                raise NotTransitive(i, j, k)
+        mine = bits[i]
+        reach = functools.reduce(operator.or_, map(bits.__getitem__, succ[i]))
+        if reach & ~mine:
+            for j in sorted(succ[i]):
+                extra = bits[j] & ~mine
+                if extra:
+                    k = (extra & -extra).bit_length() - 1
+                    raise NotTransitive(i, j, k)
 
 
 class DigraphAlgebra:
@@ -73,10 +83,12 @@ class DigraphAlgebra:
     """
 
     __slots__ = ("graph", "blocks", "cstar_classes", "class_trees", "reduced",
-                 "_block_of", "_class_of", "_block_of_block")
+                 "_block_of", "_class_of", "_block_of_block", "_mask",
+                 "__weakref__")
 
     def __init__(self, graph: Digraph):
         self.graph = graph
+        self._mask = None
         n, edges = graph.n, graph.edges
 
         # blocks: mutual-edge classes, ordered by least element
@@ -169,11 +181,16 @@ class DigraphAlgebra:
         return m
 
     def support_mask(self) -> np.ndarray:
-        """Boolean n x n mask with True exactly on edge positions."""
-        mask = np.zeros((self.n, self.n), dtype=bool)
-        for (i, j) in self.graph.edges:
-            mask[i - 1, j - 1] = True
-        return mask
+        """Read-only boolean n x n mask, True exactly on edge positions;
+        built on first use and shared by every caller."""
+        if self._mask is None:
+            at = np.array(list(self.graph.edges), dtype=int).reshape(-1, 2)
+            at -= 1
+            mask = np.zeros((self.n, self.n), dtype=bool)
+            mask[at[:, 0], at[:, 1]] = True
+            mask.setflags(write=False)
+            self._mask = mask
+        return self._mask
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DigraphAlgebra)
@@ -187,15 +204,26 @@ class DigraphAlgebra:
                 f"classes={len(self.cstar_classes)})")
 
 
+# Built algebras by (n, edges), held weakly: an algebra is immutable and
+# compares by (n, edges), only validated relations are stored, and an entry
+# lives only as long as some caller holds the algebra.
+_INTERNED = weakref.WeakValueDictionary()
+
+
 def build_digraph_algebra(n: int, edges: Iterable) -> DigraphAlgebra:
     """Validate a relation and return the algebra with derived structure.
 
     Raises NotReflexive(i) or NotTransitive(i,j,k) with the least violating
-    witness in scan order.
+    witness in scan order. While an algebra on the same relation is alive,
+    that same instance is returned.
     """
     eset = frozenset((int(i), int(j)) for (i, j) in edges)
-    _check_relation(n, eset)
-    return DigraphAlgebra(Digraph(n, eset))
+    key = (n, eset)
+    a = _INTERNED.get(key)
+    if a is None:
+        _check_relation(n, eset)
+        a = _INTERNED[key] = DigraphAlgebra(Digraph(n, eset))
+    return a
 
 
 # model builders

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -25,10 +26,70 @@ from .homs import (DEFAULT_TOL, NumericStarMap, StandardPartialIsometry,
 from .intertwine import CrossoverDiagram, DirectSystem
 
 
+# nesting deeper than this goes to json.dumps, so recursion limits hit
+# exactly where they always did
+_MAX_INDENT = 2 * 256
+_INT = {int}
+_STR = {str}
+
+
+class _Unhandled(Exception):
+    """A value the fast encoder leaves to json.dumps."""
+
+
+def _encode(v, nl: str) -> str:
+    """v as json.dumps(sort_keys=True, indent=2) writes it, nl being the
+    newline and indent of v's own line."""
+    t = type(v)
+    if t is dict:
+        if not v:
+            return "{}"
+        inner = nl + "  "
+        if len(inner) > _MAX_INDENT or set(map(type, v)) != _STR:
+            raise _Unhandled
+        body = [encode_basestring(k) + ": " + _encode(v[k], inner)
+                for k in sorted(v)]
+        return "{" + inner + ("," + inner).join(body) + nl + "}"
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        inner = nl + "  "
+        if len(inner) > _MAX_INDENT:
+            raise _Unhandled
+        if set(map(type, v)) == _INT:
+            body = map(int.__repr__, v)
+        else:
+            body = [_encode(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(body) + nl + "]"
+    if t is str:
+        return encode_basestring(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is float and math.isfinite(v):
+        return float.__repr__(v)
+    if v is None:
+        return "null"
+    if t is bool:
+        return "true" if v else "false"
+    raise _Unhandled
+
+
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, indent 2, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2,
-                      ensure_ascii=False, allow_nan=False) + "\n"
+    """Deterministic JSON text: sorted keys, indent 2, trailing newline.
+
+    The text is exactly json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False, allow_nan=False) + "\n". A small recursive encoder
+    writes it for dicts with str keys, lists, tuples, str, int, finite
+    float, bool and None (exact types, not subclasses), joining lists of
+    plain ints in one step; anything else (a non-str key, NaN or inf,
+    another type, nesting deeper than 256) goes to that json.dumps call,
+    which then gives the text or raises its usual exception.
+    """
+    try:
+        return _encode(obj, "\n") + "\n"
+    except (_Unhandled, RecursionError):
+        return json.dumps(obj, sort_keys=True, indent=2,
+                          ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def encode_complex(z) -> list:
@@ -105,7 +166,13 @@ def parse_algebra(doc, pointer: str, registry=None) -> DigraphAlgebra:
     if "n" in d:
         n = _as_int(d["n"], pointer + "/n")
         rows = _as_list(d.get("edges", []), pointer + "/edges")
-        edges = {_pair(r, f"{pointer}/edges/{k}") for k, r in enumerate(rows)}
+        if all(type(r) is list and len(r) == 2 and type(r[0]) is int
+               and type(r[1]) is int for r in rows):
+            edges = set(map(tuple, rows))
+        else:
+            # the per-row check names the first bad row
+            edges = {_pair(r, f"{pointer}/edges/{k}")
+                     for k, r in enumerate(rows)}
         edges |= {(i, i) for i in range(1, n + 1)}
         return build_digraph_algebra(n, edges)
     if "tr" in d:

@@ -5,11 +5,17 @@ their summand embeddings, weights never enter. Depth-d objects are honest
 truncations; a pair's membership is decided by the tail condition over the
 levels that exist, so pairs can disappear at larger depth while projections
 of deeper relations always contain shallower ones.
+
+Paths are held as a P x d integer array and a relation as a P x P matrix
+of witness levels; Python tuples are built only when a caller asks for
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DepthUnavailable
 from .intertwine import DirectSystem
@@ -38,30 +44,42 @@ def _check_depth(sys: DirectSystem, depth: int) -> None:
         raise DepthUnavailable(depth, sys.available_stages())
 
 
-def _successor_table(conn) -> dict:
-    succ = {}
-    for s in conn.summands:
-        for i in s.domain():
-            succ.setdefault(i, set()).add(s(i))
-    return {i: sorted(v) for i, v in succ.items()}
-
-
-def _path_tuples(sys: DirectSystem, depth: int) -> list:
-    paths = [(i,) for i in range(1, sys.stage_algebra(0).n + 1)]
+def _summand_images(sys: DirectSystem, depth: int) -> list:
+    """Per connector level l below depth - 1, the #summands x (n_l + 1)
+    table whose (s, i) entry is iota_s(i), 0 off the summand's domain."""
+    tables = []
     for l in range(depth - 1):
-        succ = _successor_table(sys.connector(l))
-        nxt = []
-        for p in paths:
-            for j in succ.get(p[-1], ()):
-                nxt.append(p + (j,))
-        paths = nxt
+        conn = sys.connector(l)
+        image = np.zeros((len(conn.summands), conn.source.n + 1), dtype=int)
+        for s, summand in enumerate(conn.summands):
+            for i, j in summand.iota.items():
+                image[s, i] = j
+        tables.append(image)
+    return tables
+
+
+def _path_array(n: int, images: list) -> np.ndarray:
+    """Paths from the n bottom indices through the given summand tables,
+    as a read-only P x d array in lexicographic order.
+
+    Built level by level: each path is extended by its last index's
+    successors in ascending order, which keeps the rows sorted. Summand
+    images are disjoint, so a successor is never listed twice.
+    """
+    paths = np.arange(1, n + 1)[:, None]
+    for image in images:
+        succ = np.sort(image[:, paths[:, -1]].T, axis=1)
+        rows, cols = np.nonzero(succ)
+        paths = np.column_stack((paths[rows], succ[rows, cols]))
+    paths.setflags(write=False)
     return paths
 
 
 def path_space(sys: DirectSystem, depth: int) -> list:
     """All depth-d paths, lexicographically ordered."""
     _check_depth(sys, depth)
-    return [BratteliPath(p) for p in _path_tuples(sys, depth)]
+    paths = _path_array(sys.stage_algebra(0).n, _summand_images(sys, depth))
+    return [BratteliPath(p) for p in paths.tolist()]
 
 
 class CylinderRelation:
@@ -71,52 +89,58 @@ class CylinderRelation:
     1-based witness level k satisfies (x_k, y_k) = (i, j), and from level k
     down to the bottom both coordinates always pass through one common
     connector summand. level is the least such k.
+
+    paths is the P x d path array and levels the P x P matrix whose (a, b)
+    entry is the witness level of (paths[a], paths[b]), 0 when unrelated;
+    pairs, pair_set and statistics are derived from them on first use.
     """
 
-    __slots__ = ("depth", "pairs", "_set")
+    __slots__ = ("depth", "paths", "levels", "_pairs", "_set", "_stats")
 
-    def __init__(self, depth: int, pairs: tuple):
+    def __init__(self, depth: int, paths: np.ndarray, levels: np.ndarray):
         self.depth = depth
-        self.pairs = tuple(pairs)
-        self._set = frozenset((x, y) for (x, y, _, _) in self.pairs)
+        self.paths = paths
+        self.levels = levels
+        self._pairs = None
+        self._set = None
+        self._stats = None
+
+    def _entries(self) -> tuple:
+        """Related row indices in row-major order, their levels and units."""
+        xs, ys = np.nonzero(self.levels)
+        lv = self.levels[xs, ys]
+        return (xs.tolist(), ys.tolist(), lv.tolist(),
+                self.paths[xs, lv - 1].tolist(),
+                self.paths[ys, lv - 1].tolist())
+
+    @property
+    def pairs(self) -> tuple:
+        if self._pairs is None:
+            rows = [tuple(p) for p in self.paths.tolist()]
+            self._pairs = tuple(
+                (rows[x], rows[y], lvl, (i, j))
+                for x, y, lvl, i, j in zip(*self._entries()))
+        return self._pairs
 
     def contains(self, x, y) -> bool:
-        return (tuple(x), tuple(y)) in self._set
+        return (tuple(x), tuple(y)) in self.pair_set()
 
     def pair_set(self) -> frozenset:
+        if self._set is None:
+            self._set = frozenset((x, y) for (x, y, _, _) in self.pairs)
         return self._set
 
     def statistics(self) -> "RelationStatistics":
-        outs = {}
-        ins = {}
-        hist = {}
-        sym = 0
-        for (x, y, lvl, _) in self.pairs:
-            outs[x] = outs.get(x, 0) + 1
-            ins[y] = ins.get(y, 0) + 1
-            hist[lvl] = hist.get(lvl, 0) + 1
-            if (y, x) in self._set:
-                sym += 1
-        anti_out = {}
-        for (x, y, _, _) in self.pairs:
-            if (y, x) not in self._set:
-                anti_out[x] = anti_out.get(x, 0) + 1
-        return RelationStatistics(
-            path_count=len({x for (x, _, _, _) in self.pairs}
-                           | {y for (_, y, _, _) in self.pairs}),
-            pair_count=len(self.pairs),
-            out_degrees=tuple(sorted(outs.values())),
-            in_degrees=tuple(sorted(ins.values())),
-            witness_levels=tuple(sorted(hist.items())),
-            symmetric_count=sym,
-            antisymmetric_count=len(self.pairs) - sym,
-            antisym_out_degrees=tuple(sorted(anti_out.values())))
+        if self._stats is None:
+            self._stats = _statistics(self.levels)
+        return self._stats
 
     def as_payload(self) -> dict:
+        rows = self.paths.tolist()
         return {"depth": self.depth,
-                "pairs": [{"x": list(x), "y": list(y), "level": lvl,
-                           "unit": list(unit)}
-                          for (x, y, lvl, unit) in self.pairs]}
+                "pairs": [{"x": rows[x][:], "y": rows[y][:], "level": lvl,
+                           "unit": [i, j]}
+                          for x, y, lvl, i, j in zip(*self._entries())]}
 
 
 @dataclass(frozen=True)
@@ -141,36 +165,56 @@ class RelationStatistics:
                 "antisym_out_degrees": list(self.antisym_out_degrees)}
 
 
+def _positive_sorted(counts: np.ndarray) -> tuple:
+    return tuple(np.sort(counts[counts > 0]).tolist())
+
+
+def _statistics(levels: np.ndarray) -> RelationStatistics:
+    related = levels > 0
+    mutual = related & related.T
+    hist = np.bincount(levels[related])
+    pair_count = int(related.sum())
+    sym = int(mutual.sum())
+    return RelationStatistics(
+        path_count=int((related.any(axis=0) | related.any(axis=1)).sum()),
+        pair_count=pair_count,
+        out_degrees=_positive_sorted(related.sum(axis=1)),
+        in_degrees=_positive_sorted(related.sum(axis=0)),
+        witness_levels=tuple((lvl, int(hist[lvl]))
+                             for lvl in np.flatnonzero(hist).tolist()),
+        symmetric_count=sym,
+        antisymmetric_count=pair_count - sym,
+        antisym_out_degrees=_positive_sorted((related & ~mutual).sum(axis=1)))
+
+
 def cylinder_relation(sys: DirectSystem, depth: int) -> CylinderRelation:
-    """All related depth-d path pairs with their minimal witness levels."""
+    """All related depth-d path pairs with their minimal witness levels.
+
+    (x, y) is related with witness level k (1-based) when stage k has the
+    edge (x_k, y_k) and, at every connector level l >= k, some one summand
+    of connector l carries x_l to x_{l+1} and y_l to y_{l+1}; the level is
+    the least such k. The witness-level matrix is filled from the top level
+    down while a P x P suffix mask keeps the AND of the joint-step tests
+    above: the joint step at level l is S_l S_l^T > 0 for the P x #summands
+    membership table S_l[x, s] = (iota_s(x_l) = x_{l+1}), and the edge test
+    fancy-indexes stage k's support mask at (x_k, y_k). The cost is d array
+    passes over P x P plus one P x #summands table per connector level.
+    """
     _check_depth(sys, depth)
-    paths = _path_tuples(sys, depth)
-    conns = [sys.connector(l) for l in range(depth - 1)]
-    tables = []
-    for conn in conns:
-        tables.append([s.iota for s in conn.summands])
-
-    def joint_step(l, a, b, a2, b2) -> bool:
-        for iota in tables[l]:
-            if iota.get(a) == a2 and iota.get(b) == b2:
-                return True
-        return False
-
-    stages = [sys.stage_algebra(k) for k in range(depth)]
-    pairs = []
-    for x in paths:
-        for y in paths:
-            witness = None
-            for k in range(depth):
-                if not stages[k].has_edge(x[k], y[k]):
-                    continue
-                if all(joint_step(l, x[l], y[l], x[l + 1], y[l + 1])
-                       for l in range(k, depth - 1)):
-                    witness = (k + 1, (x[k], y[k]))
-                    break
-            if witness is not None:
-                pairs.append((x, y, witness[0], witness[1]))
-    return CylinderRelation(depth, tuple(pairs))
+    images = _summand_images(sys, depth)
+    paths = _path_array(sys.stage_algebra(0).n, images)
+    count = len(paths)
+    levels = np.zeros((count, count), dtype=int)
+    suffix = np.ones((count, count), dtype=bool)
+    for k in range(depth - 1, -1, -1):
+        if k < depth - 1:
+            member = (images[k][:, paths[:, k]] == paths[:, k + 1]).T
+            suffix &= member @ member.T
+        at = paths[:, k] - 1
+        edge = sys.stage_algebra(k).support_mask()[np.ix_(at, at)]
+        levels[edge & suffix] = k + 1
+    levels.setflags(write=False)
+    return CylinderRelation(depth, paths, levels)
 
 
 @dataclass(frozen=True)
@@ -187,21 +231,17 @@ class DepthComparison:
                 "lhs": self.lhs.as_payload(), "rhs": self.rhs.as_payload()}
 
 
-def relation_isomorphic_at_depth(sys1: DirectSystem, sys2: DirectSystem,
-                                 depth: int) -> DepthComparison:
-    """Compare isomorphism-invariant statistics of two depth-d relations.
-
-    A mismatch certifies non-isomorphism at this depth; agreement only says
-    the systems are compatible at depth d, never that they are isomorphic.
-    """
-    s1 = cylinder_relation(sys1, depth).statistics()
-    s2 = cylinder_relation(sys2, depth).statistics()
+def compare_relations(lhs: CylinderRelation,
+                      rhs: CylinderRelation) -> DepthComparison:
+    """Compare the isomorphism-invariant statistics of two relations of
+    the same depth; see relation_isomorphic_at_depth."""
+    if lhs.depth != rhs.depth:
+        raise ValueError("relations of different depths")
+    s1, s2 = lhs.statistics(), rhs.statistics()
     # every path is reflexively related, but compare true path-space sizes
     # anyway so the verdict never rides on that
-    n1 = len(_path_tuples(sys1, depth))
-    n2 = len(_path_tuples(sys2, depth))
     mismatched = []
-    if n1 != n2:
+    if len(lhs.paths) != len(rhs.paths):
         mismatched.append("path_count")
     for name in ("pair_count", "out_degrees", "in_degrees", "witness_levels",
                  "symmetric_count", "antisymmetric_count",
@@ -209,4 +249,15 @@ def relation_isomorphic_at_depth(sys1: DirectSystem, sys2: DirectSystem,
         if getattr(s1, name) != getattr(s2, name):
             mismatched.append(name)
     verdict = "distinguished" if mismatched else "compatible"
-    return DepthComparison(verdict, depth, tuple(mismatched), s1, s2)
+    return DepthComparison(verdict, lhs.depth, tuple(mismatched), s1, s2)
+
+
+def relation_isomorphic_at_depth(sys1: DirectSystem, sys2: DirectSystem,
+                                 depth: int) -> DepthComparison:
+    """Compare isomorphism-invariant statistics of two depth-d relations.
+
+    A mismatch certifies non-isomorphism at this depth; agreement only says
+    the systems are compatible at depth d, never that they are isomorphic.
+    """
+    return compare_relations(cylinder_relation(sys1, depth),
+                             cylinder_relation(sys2, depth))

@@ -147,6 +147,39 @@ def test_bimodule_support_mask_idempotent(seed):
             assert mask[i - 1, j - 1] == a.has_edge(i, j)
 
 
+def test_support_mask_built_once_and_read_only():
+    a = la.direct_sum_algebra(la.tr_algebra(2, 2), la.diagonal_algebra(1))
+    mask = a.support_mask()
+    assert {(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(mask))} \
+        == a.edges
+    assert a.support_mask() is mask
+    with pytest.raises(ValueError):
+        mask[0, 4] = True
+    assert not a.support_mask()[0, 4]
+
+
+def test_interned_algebras_and_failed_builds():
+    import gc
+    from limitalg import core
+    edges = [(i, j) for i in range(1, 4) for j in range(i, 4)]
+    a = la.build_digraph_algebra(3, edges)
+    assert la.build_digraph_algebra(3, set(edges)) is a
+    assert la.tr_algebra(3) is a
+    key = (3, frozenset(edges))
+    del a
+    gc.collect()
+    assert key not in core._INTERNED
+    bad = [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)]
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NotTransitive) as err:
+            la.build_digraph_algebra(3, bad)
+        errors.append((err.value.args, err.value.data))
+        assert (3, frozenset(bad)) not in core._INTERNED
+    assert errors[0] == errors[1]
+    assert errors[0][1] == {"i": 1, "j": 2, "k": 3}
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
                 max_size=5),

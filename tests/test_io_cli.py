@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import limitalg as la
 from limitalg import conjugacy, detect, io as iolib
@@ -490,3 +491,215 @@ def test_cli_rejects_non_edge_images_and_non_finite_numbers(
     monkeypatch.setenv("LIMITALG_TOL", "inf")
     for argv in argvs:
         _typed_failure(argv, capsys, "UsageError")
+
+
+# canonical encoder against json.dumps
+
+def _reference_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False,
+                      allow_nan=False) + "\n"
+
+
+def _outcome(f, obj):
+    try:
+        return ("text", f(obj))
+    except Exception as exc:  # the exception itself is the result compared
+        return ("raised", type(exc), str(exc))
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7,
+                   1.5, -2.5e300, 0.1]
+_json_leaves = (st.none() | st.booleans()
+                | st.integers(-2 ** 200, 2 ** 200)
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from(_SPECIAL_FLOATS)
+                | st.text(alphabet=st.characters(), max_size=8)
+                | st.sampled_from(["", "\x00\x1f\x7f", '"\\/', " é😀",
+                                   "\ud800"]))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_canonical_dumps_matches_json_dumps(value):
+    assert iolib.canonical_dumps(value) == _reference_dumps(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.one_of(st.integers(-3, 3), st.text(max_size=2),
+                                 st.booleans(), st.none(),
+                                 st.sampled_from([0.5, -0.0])),
+                       st.integers(), max_size=4),
+       st.integers(0, 3))
+def test_canonical_dumps_non_str_keys_as_json_dumps(doc, depth):
+    for _ in range(depth):
+        doc = {"k": [doc]}
+    assert (_outcome(iolib.canonical_dumps, doc)
+            == _outcome(_reference_dumps, doc))
+
+
+def test_canonical_dumps_falls_back_exactly():
+    import enum
+
+    class Small(enum.IntEnum):
+        ONE = 1
+
+    class Text(str):
+        pass
+
+    class Real(float):
+        def __repr__(self):
+            return "custom"
+
+    cyclic = []
+    cyclic.append(cyclic)
+    cases = [float("nan"), float("inf"), [1, -float("inf")],
+             {"a": {"b": float("nan")}}, {1: "a", "b": 2}, {(1, 2): 3},
+             object(), {"s": {1, 2}}, np.int64(3), [Small.ONE, Text("t")],
+             {"r": Real(0.25)}, {Text("k"): 1}, cyclic]
+    for depth in (1, 100, 255, 256, 257, 300, 2000):
+        doc = 7
+        for _ in range(depth):
+            doc = [doc]
+        cases.append(doc)
+        cases.append({"d": doc})
+    for obj in cases:
+        want = _outcome(_reference_dumps, obj)
+        got = _outcome(iolib.canonical_dumps, obj)
+        assert got[:2] == want[:2]
+        if want[0] == "text" or want[1] is not RecursionError:
+            assert got == want
+
+
+# algebra parsing: bulk edge check against the per-row loop
+
+def _reference_parse_n_form(doc):
+    n = iolib._as_int(doc["n"], "/n")
+    rows = iolib._as_list(doc.get("edges", []), "/edges")
+    edges = {iolib._pair(r, f"/edges/{k}") for k, r in enumerate(rows)}
+    edges |= {(i, i) for i in range(1, n + 1)}
+    return la.build_digraph_algebra(n, edges)
+
+
+def _parse_outcome(f, doc):
+    try:
+        a = f(doc)
+    except Exception as exc:  # the exception itself is the result compared
+        return ("raised", type(exc), exc.args, getattr(exc, "data", None))
+    return ("algebra", a.n, a.edges)
+
+
+_bad_items = st.sampled_from([True, False, 1.0, 2.5, "1", None, [1], {}])
+_rows = st.one_of(
+    st.lists(st.integers(-1, 6), min_size=2, max_size=2),
+    st.lists(st.integers(1, 4), min_size=0, max_size=3),
+    st.lists(st.one_of(st.integers(1, 4), _bad_items), min_size=2,
+             max_size=2),
+    st.sampled_from([(1, 2), 3, "12", {"i": 1}, None, True]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-1, 5), st.sampled_from([True, 2.0, "3"])),
+       st.lists(_rows, max_size=8), st.booleans())
+def test_parse_algebra_errors_as_per_row_loop(n, rows, closed):
+    if closed and isinstance(n, int) and not isinstance(n, bool):
+        # mostly valid rows, closed under composition, so the bulk path
+        # succeeds as often as it fails
+        pairs = {tuple(r) for r in rows if isinstance(r, list) and len(r) == 2
+                 and all(type(v) is int and 1 <= v <= n for v in r)}
+        pairs |= {(i, i) for i in range(1, n + 1)}
+        while True:
+            more = {(i, k) for (i, j) in pairs for (jj, k) in pairs if j == jj}
+            if more <= pairs:
+                break
+            pairs |= more
+        rows = [list(p) for p in sorted(pairs)]
+    doc = {"n": n, "edges": rows}
+    assert (_parse_outcome(lambda d: iolib.parse_algebra(d, ""), doc)
+            == _parse_outcome(_reference_parse_n_form, doc))
+
+
+def test_loaded_tower_shares_its_algebras(tmp_path):
+    sys = uhf_system(2, 4)
+    p = write_json(tmp_path / "tower.json", iolib.encode_system(sys))
+    loaded = iolib.load_object(p, "system")
+    assert loaded.stages == sys.stages
+    for k, conn in enumerate(loaded.connectors):
+        assert conn.source is loaded.stages[k]
+        assert conn.target is loaded.stages[k + 1]
+
+
+# the command-line parser is built once and reused
+
+def test_cli_parser_reused_across_verbs(tmp_path, capsys, monkeypatch):
+    from limitalg import cli
+    m = write_json(tmp_path / "m.json",
+                   iolib.encode_map(la.refinement_map(2, 1, 2)))
+    s = write_json(tmp_path / "s.json", iolib.encode_system(uhf_system(2, 2)))
+    calls = [["decompose", "--map", m], ["spectrum", "--system", s,
+                                         "--depth", "2", "--compare", s],
+             ["decompose", "--map", m, "--output", str(tmp_path / "o.json")],
+             ["spectrum", "--system", s, "--depth", "1"]]
+
+    def run_all():
+        out = []
+        for argv in calls:
+            code = main(argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    cached = run_all()
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--system", s, "--depth", "two"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert run_all() == cached
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert run_all() == cached
+
+
+# full-depth spectrum bytes against the recorded digests
+
+def _full_tower(base, stages):
+    algs = [la.full_matrix_algebra(base ** (j + 1)) for j in range(stages)]
+    conns = [la.assemble_regular([la.ampliation(algs[j], base, c)
+                                  for c in range(1, base + 1)])
+             for j in range(stages - 1)]
+    return la.DirectSystem(tuple(algs), tuple(conns))
+
+
+def _refinement_tower(stages):
+    algs = [la.tr_algebra(2, 2 ** k) for k in range(stages)]
+    conns = [la.refinement_map(2, 2 ** k, 2) for k in range(stages - 1)]
+    return la.DirectSystem(tuple(algs), tuple(conns))
+
+
+def test_cli_spectrum_full_depth_digests(tmp_path, capsys, monkeypatch):
+    import hashlib
+    monkeypatch.delenv("LIMITALG_TOL", raising=False)
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "..", "bench", "golden_digests.json"),
+              encoding="utf-8") as fh:
+        goldens = json.load(fh)
+    towers = {"pow2": _full_tower(2, 5), "pow3": _full_tower(3, 4),
+              "refine": _refinement_tower(5)}
+    paths = {name: write_json(tmp_path / f"tower_{name}.json",
+                              iolib.encode_system(s))
+             for name, s in towers.items()}
+    for lhs, rhs, depth, want in (("pow2", "refine", 5, 1),
+                                  ("refine", "pow2", 5, 1),
+                                  ("pow2", "pow2", 5, 0),
+                                  ("pow2", "pow3", 4, 1),
+                                  ("refine", "refine", 5, 0)):
+        code = main(["spectrum", "--system", paths[lhs], "--depth",
+                     str(depth), "--compare", paths[rhs]])
+        text = capsys.readouterr().out
+        assert code == want
+        assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
+                == goldens[f"spectrum-{lhs}-{rhs}@depth{depth}"])
