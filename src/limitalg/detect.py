@@ -10,7 +10,6 @@ length.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .errors import (CapacityExceeded, CensusMismatch, Disconnected,
                      SourceTargetMismatch, TooFarApart)
 from .homs import (DEFAULT_TOL, IndexMap, MultiplicityOneMap, NumericStarMap,
                    StandardRegularMap, Unitary, assemble_regular,
-                   conjugate_numeric, map_distance, operator_norm, to_numeric,
+                   conjugate_numeric, map_distance, to_numeric,
                    validate_multiplicity_one)
 
 _CENSUS_CAP = 10 ** 6
@@ -383,54 +382,68 @@ def _canonical_from_census(census: SummandCensus, src: DigraphAlgebra,
     return assemble_regular(pieces, source=src, target=tgt)
 
 
-def _block_diag_intertwiner(phi: NumericStarMap, psi_n: NumericStarMap
-                            ) -> Optional[np.ndarray]:
-    """Block-diagonal unitary U with U phi(u) = psi(u) U, or None.
+def _census_intertwiner(phi: NumericStarMap, census: SummandCensus,
+                        psi: StandardRegularMap,
+                        psi_n: NumericStarMap) -> np.ndarray:
+    """Block-diagonal unitary U, built from matrix units, meant to carry phi
+    onto its canonical standard form psi: U phi(a) U* = psi(a).
 
-    Column p of the kernel K is vec(e_ab m1 - m2 e_ab), row-major, for the
-    p-th block-diagonal parameter (a, b) and each generator's images m1, m2;
-    the generators are the diagonal units and both directions of every
-    class tree edge. K has at least as many rows as columns, so its null
-    space is the trailing rows of the economy SVD's vh. An invertible
-    element is sought among the null vectors, then among 24 seeded random
-    combinations (the invertible solutions are Zariski-open, so a handful of
-    draws suffices whenever one exists). One SVD per target block both tests
-    invertibility and gives the polar factor W V* that becomes U's block.
+    Each C*-class C has root r, its least index (the root of its test word).
+    - Root map Z. The top mu left singular vectors F_k of the test product
+      of census class k (multiplicity mu) span phi's copy of k at r; G_k is
+      the standard basis of the root slots s(r) of psi's k summands, and
+      Z = sum_k G_k F_k*.
+    - Assembly. X = sum_C sum_{x in C} psi(e_xr) Z phi(e_rx).
+    - U is the polar factor W V* of each diagonal block W S V* of X
+      (Higham 1986).
+
+    Why this certifies:
+    1. X intertwines on each class's envelope, for any Z: for x, y in C,
+       phi(e_rx') phi(e_xy) = [x' = x] phi(e_ry) and psi(e_xy) psi(e_x'r) =
+       [x' = y] psi(e_xr), so X phi(e_xy) = psi(e_xr) Z phi(e_ry) =
+       psi(e_xy) X; the terms of other classes vanish.
+    2. Let phi = Ad(V*) psi' with psi' standard and V a unitary in B ∩ B*.
+       psi' has phi's census, so it is psi conjugated by a block-preserving
+       monomial unitary, which V absorbs: take psi' = psi. V commutes with
+       each target block projection Q_t, so the test product of k is
+       V* P_k V on its columns, P_k = G_k G_k*, and F_k = V* G_k R_k for a
+       unitary R_k. Then X = Y V with Y = sum_C sum_x psi(e_xr)
+       (sum_k G_k R_k* G_k*) psi(e_rx), which moves the slots s(x) of the
+       k summands among themselves, all inside one target block. So X maps
+       each Q_t into itself and is a partial isometry from the range of
+       phi(1) onto that of psi(1). The polar factor of each block agrees
+       with X on the range of phi(1) and extends it to a unitary; since
+       Ad U phi(a) = (U phi(1)) phi(a) (U phi(1))*, the extension, like
+       the rounding the polar step removes, never shows in the residual.
+    3. Block-diagonal means lying in B ∩ B*, the self-adjoint part of the
+       target; no step uses an off-diagonal edge of the target, so nothing
+       assumes a self-adjoint target.
+    4. is_regular accepts U only when map_distance(Ad U phi, psi) <= tol, so
+       a residual within tol certifies however U was found; for a map that
+       is not regular, U is still a block-diagonal unitary, and the
+       residual rejects it.
     """
-    n = phi.target.n
-    blocks = [np.array(blk) - 1 for blk in phi.target.blocks]
-    a = np.concatenate([np.repeat(idx, len(idx)) for idx in blocks])
-    b = np.concatenate([np.tile(idx, len(idx)) for idx in blocks])
-    p = np.arange(len(a))
-    gens = [(i, i) for i in range(1, phi.source.n + 1)]
-    gens += [e for tree in phi.source.class_trees for (q, c) in tree
-             for e in ((q, c), (c, q))]
-    parts = []
-    for i, j in gens:
-        kg = np.zeros((n, n, len(p)), dtype=complex)
-        kg[a, :, p] = phi.envelope_image(i, j)[b, :]
-        kg[:, b, p] -= psi_n.envelope_image(i, j)[:, a]
-        parts.append(kg.reshape(n * n, len(p)))
-    _, sv, vh = np.linalg.svd(np.vstack(parts), full_matrices=False)
-    # rounding cut-offs, not tol: the kernel's rank cut (1e-9 relative,
-    # 1e-12 absolute) and the least singular value, relative to the largest
-    # or 1, that keeps a block of X invertible (1e-8)
-    null = vh.conj()[int(np.count_nonzero(sv > max(1e-9 * sv[0], 1e-12))):]
-    rng = np.random.default_rng(20260818)
-    draws = ((rng.normal(size=len(null)) + 1j * rng.normal(size=len(null)))
-             @ null for _ in range(24))
-    for vec in itertools.chain(null, draws):
-        x = np.zeros((n, n), dtype=complex)
-        x[a, b] = vec
-        u = np.zeros_like(x)
-        for idx in blocks:
-            w, s, v = np.linalg.svd(x[np.ix_(idx, idx)])
-            if s[-1] < 1e-8 * max(1.0, s[0]):
-                break
-            u[np.ix_(idx, idx)] = w @ v
-        else:
-            return u
-    return None
+    src, n = phi.source, phi.target.n
+    slots = {}
+    for s in psi.summands:
+        slots.setdefault(s.index_map(), []).append(s(min(s.domain())) - 1)
+    z = np.zeros((n, n), dtype=complex)
+    for im, mult in census.classes.items():
+        word = test_word(src, src.class_of_block(im.pairs[0][0]))
+        f = np.linalg.svd(_product_for_blocks(phi, word, dict(im.pairs)),
+                          full_matrices=False)[0]
+        z[slots[im]] = f[:, :mult].conj().T
+    x = np.zeros((n, n), dtype=complex)
+    for cls in src.cstar_classes:
+        r = cls[0]
+        for v in cls:
+            x += psi_n.envelope_image(v, r) @ z @ phi.envelope_image(r, v)
+    u = np.zeros_like(x)
+    for blk in phi.target.blocks:
+        idx = [b - 1 for b in blk]
+        w, _, vh = np.linalg.svd(x[np.ix_(idx, idx)])
+        u[np.ix_(idx, idx)] = w @ vh
+    return u
 
 
 @dataclass
@@ -462,14 +475,14 @@ def is_regular(phi: NumericStarMap,
     """Decide regularity and produce a unitary onto a standard form.
 
     The census fixes the only possible class multiset; when its residual is
-    zero, a block-diagonal intertwiner against the canonical standard form
-    is solved for, polar-corrected to a unitary, and the conjugated map is
-    compared with the standard form. The verdict always carries evidence.
+    zero, a block-diagonal unitary onto the canonical standard form is
+    written down from matrix units (_census_intertwiner), and the verdict
+    is map_distance(Ad U phi, psi) <= tol, the only threshold. The verdict
+    always carries evidence.
 
-    Beyond the census, the cost is one economy SVD of the rows x params
-    kernel, rows = |generators| n^2 and params the sum of the squared
-    target block sizes: O(rows params^2) time and rows params 16 B of
-    memory, plus one SVD per target block for each candidate intertwiner.
+    Beyond the census, the cost is one SVD per census class (of its test
+    product), sum_C |C| pairs of n x n products, and one SVD per target
+    block.
     """
     tol = max(phi.tolerance, DEFAULT_TOL) if tol is None else float(tol)
     try:
@@ -483,11 +496,7 @@ def is_regular(phi: NumericStarMap,
                                      reason="unexplained image rank")
     psi = _canonical_from_census(census, phi.source, phi.target)
     psi_n = to_numeric(psi)
-    u = _block_diag_intertwiner(phi, psi_n)
-    if u is None:
-        return RegularityCertificate(
-            False, census, 0, None, None, None, tol,
-            reason="no invertible block-diagonal intertwiner")
+    u = _census_intertwiner(phi, census, psi, psi_n)
     residual = map_distance(conjugate_numeric(u, phi), psi_n)
     ok = residual <= tol
     return RegularityCertificate(

@@ -739,11 +739,6 @@ def _chunk_residuals(lhs: np.ndarray, rhs: np.ndarray, trip: np.ndarray,
     return np.einsum("aibj,aibj->ab", v, v)
 
 
-def _trusted_numeric(source, target, images: dict, tol: float) -> NumericStarMap:
-    # internal: skip re-validation for maps built from validated parts
-    return NumericStarMap(source, target, images, tol)
-
-
 def to_numeric(phi: StandardRegularMap,
                phases: Optional[Sequence] = None) -> NumericStarMap:
     """Dense image matrices of a standard regular map.
@@ -772,8 +767,8 @@ def to_numeric(phi: StandardRegularMap,
     if phases is None or all(p is None for p in extra):
         # images come straight off a validated standard map; repeating the
         # multiplicativity sweep here is pure cost
-        return _trusted_numeric(phi.source, phi.target, images,
-                                0.0 if exact else 1e-12)
+        return NumericStarMap(phi.source, phi.target, images,
+                              0.0 if exact else 1e-12)
     return validate_numeric(images, phi.source, phi.target, tol=1e-12)
 
 
@@ -786,7 +781,7 @@ def numeric_compose(phi: NumericStarMap, psi: NumericStarMap) -> NumericStarMap:
     for (i, j), m in psi.images.items():
         images[(i, j)] = phi.apply(m)
     tol = phi.tolerance + psi.tolerance
-    return _trusted_numeric(psi.source, phi.target, images, max(tol, 1e-12))
+    return NumericStarMap(psi.source, phi.target, images, max(tol, 1e-12))
 
 
 def conjugate_numeric(u: np.ndarray, phi: NumericStarMap) -> NumericStarMap:
@@ -797,8 +792,8 @@ def conjugate_numeric(u: np.ndarray, phi: NumericStarMap) -> NumericStarMap:
     """
     uh = u.conj().T
     images = {k: u @ m @ uh for k, m in phi.images.items()}
-    return _trusted_numeric(phi.source, phi.target, images,
-                            max(phi.tolerance, 1e-12))
+    return NumericStarMap(phi.source, phi.target, images,
+                          max(phi.tolerance, 1e-12))
 
 
 def map_distance(f, g) -> float:

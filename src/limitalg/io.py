@@ -216,11 +216,13 @@ def _parse_weights(doc, pointer: str) -> dict:
         if len(entry) != 2:
             _fail(at, "expected [index, value] with value a number or [re, im]")
         i = _as_int(entry[0], at + "/0")
+        if i in out:
+            _fail(at, f"index {i} listed twice")
         out[i] = _as_complex(entry[1], at + "/1")
     return out
 
 
-def parse_standard_map(doc, pointer: str, registry=None,
+def parse_standard_map(doc, pointer: str,
                        algebras=None) -> StandardRegularMap:
     d = _as_dict(doc, pointer)
     source = parse_algebra(d.get("source"), pointer + "/source", algebras)
@@ -234,6 +236,8 @@ def parse_standard_map(doc, pointer: str, registry=None,
         iota = {}
         for q, p in enumerate(pairs):
             i, j = _pair(p, f"{at}/pairs/{q}")
+            if i in iota:
+                _fail(f"{at}/pairs/{q}", f"index {i} listed twice")
             iota[i] = j
         weights = None
         if "weights" in r:
@@ -243,7 +247,7 @@ def parse_standard_map(doc, pointer: str, registry=None,
     return assemble_regular(summands, source=source, target=target)
 
 
-def parse_numeric_map(doc, pointer: str, registry=None, algebras=None,
+def parse_numeric_map(doc, pointer: str, algebras=None,
                       default_tol: float = DEFAULT_TOL) -> NumericStarMap:
     d = _as_dict(doc, pointer)
     source = parse_algebra(d.get("source"), pointer + "/source", algebras)
@@ -256,6 +260,8 @@ def parse_numeric_map(doc, pointer: str, registry=None, algebras=None,
         r = _as_dict(row, at)
         i = _as_int(r.get("i"), at + "/i")
         j = _as_int(r.get("j"), at + "/j")
+        if (i, j) in images:
+            _fail(at, f"image of ({i},{j}) listed twice")
         mat = _as_list(r.get("matrix"), at + "/matrix")
         m = np.zeros((target.n, target.n), dtype=complex)
         if len(mat) != target.n:
@@ -281,9 +287,10 @@ def parse_map(doc, pointer: str, registry=None, algebras=None,
     d = _as_dict(doc, pointer)
     kind = d.get("type")
     if kind == "standard" or (kind is None and "summands" in d):
-        return parse_standard_map(d, pointer, registry, algebras)
+        return parse_standard_map(d, pointer, algebras=algebras)
     if kind == "numeric" or (kind is None and "images" in d):
-        return parse_numeric_map(d, pointer, registry, algebras, default_tol)
+        return parse_numeric_map(d, pointer, algebras=algebras,
+                                 default_tol=default_tol)
     _fail(pointer, "map needs type standard (summands) or numeric (images)")
 
 

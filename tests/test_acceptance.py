@@ -459,8 +459,9 @@ def test_a8_regularity_decision():
         cert = la.is_regular(psi, tol=1e-9)
         assert cert.regular == oracle
         if not constructed_regular:
-            assert cert.reason == "no invertible block-diagonal intertwiner"
+            assert cert.reason == "conjugation residual exceeds tolerance"
             assert cert.residual_rank == 0
+            assert cert.residual > cert.tolerance
         agreements += 1
     _checkline(8, "regularity agrees with the brute-force oracle",
                f"{agreements}/20, 5 non-regular specimens")

@@ -3,7 +3,6 @@ regularity decision, and close-conjugacy witnesses."""
 
 import itertools
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -377,57 +376,39 @@ def test_is_regular_standard_input():
     assert cert.residual <= 1e-12
 
 
-def _loop_kernel(phi, psi_n):
-    """The intertwiner kernel built one (generator, parameter) at a time."""
-    n = phi.target.n
-    params = [(a - 1, b - 1) for blk in phi.target.blocks
-              for a in blk for b in blk]
-    gens = [(i, i) for i in range(1, phi.source.n + 1)]
-    for tree in phi.source.class_trees:
-        for p, c in tree:
-            gens += [(p, c), (c, p)]
-    k = np.zeros((len(gens) * n * n, len(params)), dtype=complex)
-    for g, (i, j) in enumerate(gens):
-        m1 = phi.envelope_image(i, j)
-        m2 = psi_n.envelope_image(i, j)
-        for p, (a, b) in enumerate(params):
-            block = np.zeros((n, n), dtype=complex)
-            block[a, :] += m1[b, :]
-            block[:, b] -= m2[:, a]
-            k[g * n * n:(g + 1) * n * n, p] = block.reshape(-1)
-    return k
-
-
-def _solve_with_kernel_check(phi):
-    """Run the intertwiner solve; its kernel must equal the loop-built one."""
+def _solve(phi):
+    """The census intertwiner of phi and the canonical form it aims at."""
     census = la.summand_census(phi)
     assert census.residual_rank == 0
     psi = detect._canonical_from_census(census, phi.source, phi.target)
     psi_n = la.to_numeric(psi)
-    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-        u = detect._block_diag_intertwiner(phi, psi_n)
-    kernels = [c.args[0] for c in svd.call_args_list
-               if c.kwargs.get("full_matrices") is False]
-    assert len(kernels) == 1
-    assert np.array_equal(kernels[0], _loop_kernel(phi, psi_n))
-    return u, psi_n
+    return detect._census_intertwiner(phi, census, psi, psi_n), psi_n
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10**9), st.floats(0.1, 1.5))
-def test_intertwiner_kernel_and_unitary_oracle(seed, eps):
-    rng = np.random.default_rng(seed)
-    phi = random_standard_map(rng, n_max=3, exact=bool(seed % 2))
-    h = random_block_hermitian(rng, phi.target)
-    moved = la.conjugate_numeric(unitary_exp(h, eps), la.to_numeric(phi))
-    u, psi_n = _solve_with_kernel_check(moved)
-    tol = max(moved.tolerance, la.DEFAULT_TOL)
+def _assert_block_unitary(u, target, tol):
     off = np.ones(u.shape, dtype=bool)
-    for blk in phi.target.blocks:
+    for blk in target.blocks:
         idx = [b - 1 for b in blk]
         off[np.ix_(idx, idx)] = False
     assert not u[off].any()
     assert la.operator_norm(u.conj().T @ u - np.eye(len(u))) <= tol
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**9), st.floats(0.1, 1.5))
+def test_intertwiner_unitary_oracle(seed, eps):
+    rng = np.random.default_rng(seed)
+    phi = random_standard_map(rng, n_max=3, exact=bool(seed % 2))
+    # dropping summands leaves free slots inside the target blocks, where
+    # the complement step has to find them under the twist
+    keep = [s for s in phi.summands if rng.random() < 0.7]
+    phi = la.assemble_regular(keep or phi.summands[:1], source=phi.source,
+                              target=phi.target)
+    h = random_block_hermitian(rng, phi.target)
+    moved = la.conjugate_numeric(unitary_exp(h, eps), la.to_numeric(phi))
+    u, psi_n = _solve(moved)
+    tol = max(moved.tolerance, la.DEFAULT_TOL)
+    _assert_block_unitary(u, phi.target, tol)
     assert la.map_distance(la.conjugate_numeric(u, moved), psi_n) <= tol
 
 
@@ -435,21 +416,50 @@ def test_intertwiner_kernel_and_unitary_oracle(seed, eps):
 # at pi/4 the test products' singular values sit on the 1/2 cut, so the
 # census there depends on the last bit of cos and sin
 @given(st.floats(0.25, 1.3).filter(lambda t: abs(t - np.pi / 4) > 1e-6))
-def test_intertwiner_kernel_oracle_on_rotated_specimens(angle):
-    u, _ = _solve_with_kernel_check(rotated_specimen_angle(angle))
-    assert u is None
+def test_rotated_specimens_fail_on_the_residual(angle):
+    phi = rotated_specimen_angle(angle)
+    u, _ = _solve(phi)
+    _assert_block_unitary(u, phi.target, 1e-12)
+    cert = la.is_regular(phi)
+    assert not cert.regular
+    assert cert.residual_rank == 0
+    assert cert.residual > cert.tolerance
+    assert cert.reason == "conjugation residual exceeds tolerance"
+    assert cert.as_payload()["residual"] == cert.residual
 
 
-def test_is_regular_memory_is_bounded_by_the_economy_kernel():
-    phi = la.to_numeric(la.refinement_map(3, 2, 2))
-    tracemalloc.start()
-    try:
-        cert = la.is_regular(phi)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert cert.regular
-    assert peak <= 16 * 2 ** 20
+def test_is_regular_certifies_large_refinements_in_small_memory():
+    rng = np.random.default_rng(59)
+    for args in ((3, 2, 2), (2, 4, 2), (3, 2, 3)):
+        std = la.refinement_map(*args)
+        h = random_block_hermitian(rng, std.target)
+        phi = la.conjugate_numeric(unitary_exp(h, 0.9), la.to_numeric(std))
+        tracemalloc.start()
+        try:
+            cert = la.is_regular(phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.regular
+        assert cert.residual <= 1e-12
+        assert cert.census.multiset() == std.class_multiset()
+        assert peak <= 2 * 2 ** 20
+
+
+def test_is_regular_draws_nothing_random(monkeypatch):
+    rng = np.random.default_rng(61)
+    phi = random_standard_map(rng, n_max=4)
+    h = random_block_hermitian(rng, phi.target)
+    moved = la.conjugate_numeric(unitary_exp(h, 0.8), la.to_numeric(phi))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the regularity decision drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    first = la.is_regular(moved)
+    second = la.is_regular(moved)
+    assert first.regular and second.regular
+    assert np.array_equal(first.unitary.matrix(), second.unitary.matrix())
 
 
 def test_close_conjugacy_round_trip():

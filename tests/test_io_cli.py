@@ -493,6 +493,32 @@ def test_cli_rejects_non_edge_images_and_non_finite_numbers(
         _typed_failure(argv, capsys, "UsageError")
 
 
+def test_cli_rejects_entries_listed_twice(tmp_path, capsys):
+    std = iolib.encode_map(la.refinement_map(2, 1, 2))
+    pairs = json.loads(json.dumps(std))
+    pairs["summands"][0]["pairs"] = [[1, 1], [2, 3], [1, 2]]
+    weights = json.loads(json.dumps(std))
+    weights["summands"][0]["weights"] = [[1, 1.0], [2, [0.0, 1.0]],
+                                         [1, -1.0]]
+    num = iolib.encode_map(la.to_numeric(la.refinement_map(2, 1, 2)))
+    repeat = dict(num["images"][0], matrix=[[0.0] * 4 for _ in range(4)])
+    images = dict(num, images=num["images"] + [repeat])
+    ws = {"version": 1, "maps": {"m": pairs}}
+    for name, doc, verb, pointer in (
+            ("pairs", pairs, "decompose", "/summands/0/pairs/2"),
+            ("weights", weights, "decompose", "/summands/0/weights/2"),
+            ("images", images, "regular-test",
+             f"/images/{len(num['images'])}"),
+            ("workspace", ws, "decompose", "/maps/m/summands/0/pairs/2")):
+        p = write_json(tmp_path / f"{name}.json", doc)
+        err = _typed_failure([verb, "--map", p], capsys, "SchemaError")
+        assert err["data"] == {"pointer": pointer}
+        assert "listed twice" in err["message"]
+    with pytest.raises(SchemaError) as err:
+        iolib.parse_standard_map(pairs, "")
+    assert err.value.data["pointer"] == "/summands/0/pairs/2"
+
+
 # canonical encoder against json.dumps
 
 def _reference_dumps(obj):
