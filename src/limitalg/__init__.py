@@ -10,9 +10,9 @@ from .homs import (DEFAULT_TOL, IndexMap, MultiplicityOneMap, NumericStarMap,
                    StandardRegularMap, Unitary, ampliation, apply_to_unitary,
                    assemble_regular, compose, conjugate_numeric,
                    conjugate_standard, decompose_maximal, direct_sum,
-                   extend_to_unitary, identity_map, map_distance,
-                   numeric_compose, operator_norm, refinement_map,
-                   refinement_summand, same_action, strictify, to_numeric,
+                   identity_map, map_distance, numeric_compose,
+                   operator_norm, refinement_map, refinement_summand,
+                   same_action, strictify, to_numeric,
                    validate_multiplicity_one, validate_numeric, zero_map)
 from .conjugacy import (ClassKey, conjugacy_class, permutation_intertwiner,
                         restandardize_triangle, standard_witness)

@@ -160,10 +160,8 @@ def _cmd_conjugacy(ns, tol: float):
             report[f"{side}_census"] = _census(m).as_payload()
         except LimitalgError as exc:
             report[f"{side}_census"] = {"error": _error_payload(exc)}
-    l_n = to_numeric(lhs) if isinstance(lhs, StandardRegularMap) else lhs
-    r_n = to_numeric(rhs) if isinstance(rhs, StandardRegularMap) else rhs
     try:
-        u = close_conjugacy(l_n, r_n)
+        u = close_conjugacy(to_numeric(lhs), to_numeric(rhs))
     except _VERDICT_ERRORS as exc:
         report["verdict"] = "not_equivalent"
         report["reason"] = _error_payload(exc)
@@ -226,7 +224,7 @@ def _cmd_detect(ns, tol: float):
     phi = _load_map(ns.map, ns.name, tol)
     c = threshold_constant(phi.source)
     if ns.against:
-        phi_n = to_numeric(phi) if isinstance(phi, StandardRegularMap) else phi
+        phi_n = to_numeric(phi)
         alpha_map = _require_standard(_load_map(ns.against, None, tol),
                                       "detect --against")
         if (alpha_map.source != phi_n.source
@@ -278,8 +276,14 @@ def _cmd_spectrum(ns, tol: float):
               "statistics": rel.statistics().as_payload(),
               "tolerance": tol}
     if ns.compare:
-        other = iolib.load_object(ns.compare, "system", default_tol=tol)
-        comp = compare_relations(rel, cylinder_relation(other, ns.depth))
+        # the --system file read without a name is the system loaded above
+        same = os.path.realpath(ns.compare) == os.path.realpath(ns.system)
+        if same and ns.name is None:
+            other = rel
+        else:
+            other = cylinder_relation(iolib.load_object(
+                ns.compare, "system", default_tol=tol), ns.depth)
+        comp = compare_relations(rel, other)
         report["comparison"] = comp.as_payload()
         return (0 if comp.verdict == "compatible" else 1), report
     return 0, report

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -23,15 +24,15 @@ import numpy as np
 from .core import (DigraphAlgebra, RankMatrix, StandardPartialIsometry,
                    identity_unitary, tensor_model, direct_sum_algebra,
                    tr_algebra)
-from .errors import (AmbientTooSmall, BlockPartial, EdgeIncompatible,
-                     ImageOverlap, NotInjective, NotInRange,
+from .errors import (AmbientTooSmall, BlockPartial, CapacityExceeded,
+                     EdgeIncompatible, ImageOverlap, NotInjective, NotInRange,
                      NotMultiplicative, NotStarConsistent, ShapeMismatch,
                      SourceTargetMismatch)
 
 DEFAULT_TOL = 1e-9
 
 # full multiplicativity sweeps are quadratic in envelope units; above this
-# budget only generator-anchored products are checked
+# many pairs validation raises CapacityExceeded
 _SWEEP_CAP = 250_000
 
 _EXACT_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
@@ -448,24 +449,29 @@ def strictify(phi: StandardRegularMap) -> tuple:
 
 
 class NumericStarMap:
-    """Matrix-unit images as dense complex matrices, tolerance-validated.
+    """Matrix-unit images as one dense stack, tolerance-validated.
 
-    Build through validate_numeric or to_numeric. Envelope images (matrix
-    units of the generated C*-algebra, not just of the algebra) are derived
-    lazily from a spanning tree of each class.
+    stack is a read-only (|E|, n, n) complex array holding the images of
+    the source edges in sorted order; the map freezes the array it is
+    given rather than copying it. images maps each edge to its row, and
+    is built once. Build through validate_numeric or to_numeric. Envelope
+    images (matrix units of the generated C*-algebra, not just of the
+    algebra) are derived lazily from a spanning tree of each class.
     """
 
-    __slots__ = ("source", "target", "images", "tolerance", "_env")
+    __slots__ = ("source", "target", "stack", "images", "tolerance", "_env")
 
-    def __init__(self, source, target, images: dict, tolerance: float):
+    def __init__(self, source, target, stack: np.ndarray, tolerance: float):
+        stack = np.asarray(stack, dtype=complex)
+        if stack.shape != (len(source.edges), target.n, target.n):
+            raise ShapeMismatch(
+                f"image stack has shape {stack.shape}, expected "
+                f"({len(source.edges)},{target.n},{target.n})")
+        stack.setflags(write=False)
         self.source = source
         self.target = target
-        frozen = {}
-        for (i, j), m in images.items():
-            arr = np.array(m, dtype=complex)
-            arr.setflags(write=False)
-            frozen[(i, j)] = arr
-        self.images = frozen
+        self.stack = stack
+        self.images = MappingProxyType(dict(zip(sorted(source.edges), stack)))
         self.tolerance = float(tolerance)
         self._env = None
 
@@ -482,39 +488,21 @@ class NumericStarMap:
             self._env = _envelope_extension(self.images, self.source)
         return self._env
 
-    def image_of_one(self) -> np.ndarray:
-        out = np.zeros((self.target.n, self.target.n), dtype=complex)
-        for i in range(1, self.source.n + 1):
-            out = out + self.images[(i, i)]
-        return out
-
     def rank_matrix(self) -> RankMatrix:
-        rows = []
-        for blk in self.target.blocks:
-            idx = [b - 1 for b in blk]
-            row = []
-            for j in range(1, self.source.n + 1):
-                tr = sum(self.images[(j, j)][b, b].real for b in idx)
-                row.append(int(round(tr)))
-            rows.append(tuple(row))
-        return RankMatrix(tuple(rows))
-
-    def apply(self, m: np.ndarray, envelope: bool = False) -> np.ndarray:
-        """Linear action on a matrix over the source index set."""
-        out = np.zeros((self.target.n, self.target.n), dtype=complex)
-        keys = self._envelope().keys() if envelope else self.images.keys()
-        for (i, j) in keys:
-            c = m[i - 1, j - 1]
-            if c != 0:
-                out = out + c * self.envelope_image(i, j)
-        return out
+        # diagonals of the images of e_11, ..., e_nn; each block trace is
+        # summed index by index, as a per-image loop would
+        diag = self.stack.diagonal(axis1=1, axis2=2).real[
+            [i == j for i, j in self.images]]
+        return RankMatrix(tuple(
+            tuple(int(round(t)) for t in sum(diag[:, b - 1] for b in blk))
+            for blk in self.target.blocks))
 
     def __repr__(self) -> str:
         return (f"NumericStarMap({self.source.n} -> {self.target.n}, "
                 f"tol={self.tolerance:g})")
 
 
-def _envelope_extension(images: dict, source: DigraphAlgebra) -> dict:
+def _envelope_extension(images: Mapping, source: DigraphAlgebra) -> dict:
     """Images of all within-class matrix units, given-algebra ones verbatim.
 
     Products along the class tree from its root define e_{root, x};
@@ -555,12 +543,12 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
 
     images are keyed by exactly the source edges, with finite entries, and
     tol is finite and nonnegative. Raises the first violated identity with
-    its residual. The multiplicativity sweep runs over all pairs of
-    envelope matrix units (capped on very large classes to
-    generator-anchored products). Every residual X is gated on
-    ||X||_2 > tol; since ||X||_2 <= ||X||_F, one whose Frobenius norm is
-    within tol passes without an SVD, and a raised error carries the
-    spectral residual.
+    its residual. The multiplicativity sweep runs over all u^2 pairs of
+    the u envelope matrix units; when u^2 exceeds _SWEEP_CAP, the star and
+    range checks still run and then CapacityExceeded is raised. Every
+    residual X is gated on ||X||_2 > tol; since ||X||_2 <= ||X||_F, one
+    whose Frobenius norm is within tol passes without an SVD, and a raised
+    error carries the spectral residual.
 
     Exactness. Each check takes the Frobenius norms of all its residuals
     in one batch, flags those above tol (1 - 1e-9) - delta, and recomputes
@@ -581,7 +569,9 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
     and the sweep multiplies only those blocks: u^2 sum_B m_B^3 flops for
     u envelope units and blocks of sizes m_B, against u^2 n^3 pair by pair,
     as one gemm per block in chunks of bounded size (_CHUNK_BYTES).
-    Otherwise it multiplies one block of all n indices.
+    Otherwise it multiplies one block of all n indices. The images are
+    copied once, into the leading rows of the envelope stack, and those
+    rows become the stack of the map returned.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
@@ -598,7 +588,8 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
         if not np.isfinite(arr).all():
             raise ValueError(f"image of ({i},{j}) has a non-finite entry")
         work[(i, j)] = arr
-    for (i, j) in sorted(source.edges):
+    edges = sorted(source.edges)
+    for (i, j) in edges:
         if (i, j) not in work:
             raise ShapeMismatch(f"missing image for matrix unit ({i},{j})")
     for (i, j) in sorted(work):
@@ -606,16 +597,17 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
             raise ShapeMismatch(
                 f"image given for ({i},{j}), which is not a source edge")
 
-    env = _envelope_extension(work, source)
-    units = sorted(env)
-    stack = np.stack([env[u] for u in units])
-    stack.setflags(write=False)
-    env = dict(zip(units, stack))
-    pos = {u: p for p, u in enumerate(units)}
+    # envelope stack: the given images in edge order, then derived units
+    units = edges + [(i, j) for cls in source.cstar_classes
+                     for i in cls for j in cls if (i, j) not in work]
+    stack = np.empty((len(units), target.n, target.n), dtype=complex)
+    for p, e in enumerate(edges):
+        stack[p] = work[e]
+    given = stack[:len(edges)]
+    pos = {e: p for p, e in enumerate(edges)}
     cut = tol * (1 - 1e-9)
 
-    star = [(i, j) for (i, j) in sorted(source.edges)
-            if (j, i) in work and i <= j]
+    star = [(i, j) for (i, j) in edges if (j, i) in work and i <= j]
     a = [pos[(j, i)] for i, j in star]
     b = [pos[(i, j)] for i, j in star]
     for (p,) in _flagged(_frob2(stack[a] - stack[b].conj().transpose(0, 2, 1)),
@@ -626,32 +618,35 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
             raise NotStarConsistent(i, j, res)
 
     mask = target.support_mask()
-    given = sorted(work)
     # the float view interleaves real and imaginary parts along a row
-    v = stack.view(float)
+    v = given.view(float)
     offsq = np.einsum("pij,pij,ij->p", v, v, np.repeat(~mask, 2, axis=1) * 1.0)
-    for (p,) in _flagged(offsq[[pos[k] for k in given]], cut):
-        i, j = given[p]
+    for (p,) in _flagged(offsq, cut):
+        i, j = edges[p]
         off = work[(i, j)].copy()
         off[mask] = 0.0
         res = _residual_over(off, tol)
         if res is not None:
             raise NotInRange(i, j, res)
 
+    if len(units) ** 2 > _SWEEP_CAP:
+        raise CapacityExceeded(
+            f"the multiplicativity sweep over {len(units)} envelope units "
+            f"needs {len(units) ** 2} pairs, above the cap of {_SWEEP_CAP}",
+            units=len(units), pairs=len(units) ** 2, cap=_SWEEP_CAP)
+    env = _envelope_extension(work, source)
+    for p in range(len(edges), len(units)):
+        stack[p] = env[units[p]]
+    stack.setflags(write=False)
     cls = np.array([target.class_index(i) for i in range(1, target.n + 1)])
     if ((stack != 0) & (cls[:, None] != cls)).any():
         blocks = [np.arange(target.n)]
     else:
         blocks = [np.array(c) - 1 for c in target.cstar_classes]
-    if len(units) ** 2 <= _SWEEP_CAP:
-        _sweep_products(units, stack, blocks, tol, units, units)
-    else:
-        anchors = [u for u in units if u in work] or units
-        _sweep_products(units, stack, blocks, tol, anchors, units)
-        _sweep_products(units, stack, blocks, tol, units, anchors)
+    _sweep_products(units, stack, blocks, tol)
 
-    out = NumericStarMap(source, target, work, tol)
-    out._env = env
+    out = NumericStarMap(source, target, given, tol)
+    out._env = dict(zip(units, stack))
     return out
 
 
@@ -672,53 +667,52 @@ def _flagged(sq: np.ndarray, cut) -> Iterable:
 
 
 def _sweep_products(units: list, stack: np.ndarray, blocks: list,
-                    tol: float, left: list, right: list) -> None:
-    """Raise NotMultiplicative at the first failing pair of left x right.
+                    tol: float) -> None:
+    """Raise NotMultiplicative at the first failing pair of units x units.
 
     stack[p] is the image of units[p]; blocks are the target index arrays
     whose diagonal blocks carry every product. Pairs are taken in
-    row-major order, as itertools.product(left, right); validate_numeric
-    documents the batched flag test and its margin.
+    row-major order over the sorted units, as
+    itertools.product(sorted(units), repeat=2); validate_numeric documents
+    the batched flag test and its margin.
     """
-    at = np.zeros((max(map(max, units)) + 1,) * 2, dtype=int)
+    srt = sorted(units)
+    us = np.array(srt)
+    at = np.zeros((us.max() + 1,) * 2, dtype=int)
     at[tuple(np.array(units).T)] = np.arange(len(units))
-    lu, ru = np.array(left), np.array(right)
-    li, ri = at[lu[:, 0], lu[:, 1]], at[ru[:, 0], ru[:, 1]]
-    # rows (p, q, e): left[p] = e_ij, right[q] = e_jl, e = position of e_il
-    p, q = np.nonzero(lu[:, 1, None] == ru[:, 0])
-    trip = np.stack([p, q, at[lu[p, 0], ru[q, 1]]], axis=1)
-    sq = np.zeros((len(left), len(right)))
+    # stack row of each sorted unit
+    li = at[us[:, 0], us[:, 1]]
+    # rows (p, q, e): srt[p] = e_ij, srt[q] = e_jl, e = stack row of e_il
+    p, q = np.nonzero(us[:, 1, None] == us[:, 0])
+    trip = np.stack([p, q, at[us[p, 0], us[q, 1]]], axis=1)
+    u = len(srt)
+    sq = np.zeros((u, u))
     for idx in blocks:
         sb = stack[:, idx[:, None], idx]
         if not sb.any():
             continue
         m = len(idx)
         lhs = sb[li].reshape(-1, m)
-        rhs = sb[ri].transpose(1, 0, 2).reshape(m, -1)
-        cb = max(1, min(len(right), _CHUNK_BYTES // (16 * m * m)))
+        rhs = sb[li].transpose(1, 0, 2).reshape(m, -1)
+        cb = max(1, min(u, _CHUNK_BYTES // (16 * m * m)))
         ca = max(1, _CHUNK_BYTES // (16 * m * m * cb))
-        for a0 in range(0, len(left), ca):
-            a1 = min(a0 + ca, len(left))
-            for b0 in range(0, len(right), cb):
-                b1 = min(b0 + cb, len(right))
+        for a0 in range(0, u, ca):
+            a1 = min(a0 + ca, u)
+            for b0 in range(0, u, cb):
+                b1 = min(b0 + cb, u)
                 t = trip[(trip[:, 0] >= a0) & (trip[:, 0] < a1)
                          & (trip[:, 1] >= b0) & (trip[:, 1] < b1)]
                 sq[a0:a1, b0:b1] += _chunk_residuals(
                     lhs[a0 * m:a1 * m], rhs[:, b0 * m:b1 * m],
                     t - (a0, b0, 0), sb)
     eps = np.finfo(float).eps
-    norms = np.sqrt(_frob2(stack))
-    cut = (tol * (1 - 1e-9)
-           - 8 * stack.shape[1] * eps * np.outer(norms[li], norms[ri]))
-    env = dict(zip(units, stack))
+    norms = np.sqrt(_frob2(stack))[li]
+    cut = tol * (1 - 1e-9) - 8 * stack.shape[1] * eps * np.outer(norms, norms)
     for p, q in _flagged(sq, cut):
-        (i, j), (k, l) = left[p], right[q]
-        prod = env[(i, j)] @ env[(k, l)]
+        (i, j), (k, l) = srt[p], srt[q]
+        prod = stack[li[p]] @ stack[li[q]]
         # units never leave a class, so j == k puts e_il in the envelope
-        if j == k:
-            expected = env[(i, l)]
-        else:
-            expected = 0.0
+        expected = stack[at[i, l]] if j == k else 0.0
         res = _residual_over(prod - expected, tol)
         if res is not None:
             raise NotMultiplicative((i, j), (k, l), res)
@@ -739,49 +733,54 @@ def _chunk_residuals(lhs: np.ndarray, rhs: np.ndarray, trip: np.ndarray,
     return np.einsum("aibj,aibj->ab", v, v)
 
 
-def to_numeric(phi: StandardRegularMap,
-               phases: Optional[Sequence] = None) -> NumericStarMap:
-    """Dense image matrices of a standard regular map.
+def to_numeric(phi, phases: Optional[Sequence] = None) -> NumericStarMap:
+    """Dense image stack of a standard regular map.
 
-    phases, when given, lists one extra weight mapping per summand (None
-    entries allowed); these multiply the summand's own weights. Strict
-    unphased maps validate at tolerance 0.
+    A numeric map is returned unchanged. phases, when given, lists one
+    extra weight mapping per summand of a standard map (None entries
+    allowed); these multiply the summand's own weights. Strict unphased
+    maps validate at tolerance 0.
     """
+    if isinstance(phi, NumericStarMap):
+        if phases is not None:
+            raise ValueError("phases apply to standard maps only")
+        return phi
     extra = list(phases) if phases is not None else [None] * len(phi.summands)
     if len(extra) != len(phi.summands):
         raise ValueError("one phase mapping per summand expected")
     n2 = phi.target.n
-    images = {}
-    exact = phi.is_strict
-    for (i, j) in sorted(phi.source.edges):
-        m = np.zeros((n2, n2), dtype=complex)
-        for s, ph in zip(phi.summands, extra):
-            if i in s.domain() and j in s.domain():
+    edges = sorted(phi.source.edges)
+    stack = np.zeros((len(edges), n2, n2), dtype=complex)
+    for s, ph in zip(phi.summands, extra):
+        dom = s.domain()
+        for p, (i, j) in enumerate(edges):
+            if i in dom and j in dom:
                 c = s.unit_coeff(i, j)
                 if ph is not None:
                     c = c * complex(ph.get(i, 1.0)) * np.conj(complex(ph.get(j, 1.0)))
-            else:
-                continue
-            m[s(i) - 1, s(j) - 1] += c
-        images[(i, j)] = m
+                stack[p, s(i) - 1, s(j) - 1] += c
     if phases is None or all(p is None for p in extra):
         # images come straight off a validated standard map; repeating the
         # multiplicativity sweep here is pure cost
-        return NumericStarMap(phi.source, phi.target, images,
-                              0.0 if exact else 1e-12)
-    return validate_numeric(images, phi.source, phi.target, tol=1e-12)
+        return NumericStarMap(phi.source, phi.target, stack,
+                              0.0 if phi.is_strict else 1e-12)
+    return validate_numeric(dict(zip(edges, stack)), phi.source, phi.target,
+                            tol=1e-12)
 
 
 def numeric_compose(phi: NumericStarMap, psi: NumericStarMap) -> NumericStarMap:
-    """phi after psi, entrywise through the middle algebra's units."""
+    """phi after psi, linearly through phi's source units.
+
+    With c_ab the (a, b) entry of psi(e_ij) at each source edge (a, b) of
+    phi, e_ij goes to sum_ab c_ab phi(e_ab); one tensordot forms them all.
+    """
     if phi.source != psi.target:
         raise SourceTargetMismatch(
             "compose needs target(psi) equal to source(phi)")
-    images = {}
-    for (i, j), m in psi.images.items():
-        images[(i, j)] = phi.apply(m)
+    ab = np.array(list(phi.images)) - 1
+    stack = np.tensordot(psi.stack[:, ab[:, 0], ab[:, 1]], phi.stack, axes=1)
     tol = phi.tolerance + psi.tolerance
-    return NumericStarMap(psi.source, phi.target, images, max(tol, 1e-12))
+    return NumericStarMap(psi.source, phi.target, stack, max(tol, 1e-12))
 
 
 def conjugate_numeric(u: np.ndarray, phi: NumericStarMap) -> NumericStarMap:
@@ -790,9 +789,7 @@ def conjugate_numeric(u: np.ndarray, phi: NumericStarMap) -> NumericStarMap:
     The dense products round, so the tolerance is floored at 1e-12 even for
     an exact source, as in numeric_compose.
     """
-    uh = u.conj().T
-    images = {k: u @ m @ uh for k, m in phi.images.items()}
-    return NumericStarMap(phi.source, phi.target, images,
+    return NumericStarMap(phi.source, phi.target, u @ phi.stack @ u.conj().T,
                           max(phi.tolerance, 1e-12))
 
 
@@ -803,21 +800,13 @@ def map_distance(f, g) -> float:
     fly). A lower bound for the unit-ball sup norm; all threshold arguments
     here only ever need the per-unit values.
     """
-    fn = f if isinstance(f, NumericStarMap) else to_numeric(f)
-    gn = g if isinstance(g, NumericStarMap) else to_numeric(g)
+    fn, gn = to_numeric(f), to_numeric(g)
     if fn.source != gn.source or fn.target != gn.target:
         raise SourceTargetMismatch("distance needs a common source and target")
-    worst = 0.0
-    for key in fn.images:
-        worst = max(worst, operator_norm(fn.images[key] - gn.images[key]))
-    return worst
-
-
-def extend_to_unitary(phi: NumericStarMap, m: np.ndarray) -> np.ndarray:
-    """phi-image of a unitary, made unitary by identity off phi(1)."""
-    img = phi.apply(m, envelope=True)
-    one = phi.image_of_one()
-    return img + np.eye(phi.target.n, dtype=complex) - one
+    diff = fn.stack - gn.stack
+    if diff.size == 0:
+        return 0.0
+    return float(np.linalg.svd(diff, compute_uv=False).max())
 
 
 class Unitary:
@@ -839,10 +828,6 @@ class Unitary:
             else:
                 flat.append(f)
         self.factors = tuple(flat)
-
-    @classmethod
-    def of(cls, n: int, *factors) -> "Unitary":
-        return cls(n, factors)
 
     @property
     def is_monomial(self) -> bool:

@@ -21,10 +21,9 @@ from .detect import is_regular, threshold_constant
 from .errors import (CensusMismatch, InternalError, NotRegular,
                      ResidualTooLarge, SourceTargetMismatch,
                      TriangleNotCommuting, UsageError)
-from .homs import (NumericStarMap, StandardRegularMap, Unitary,
-                   apply_to_unitary, compose, conjugate_standard,
-                   map_distance, numeric_compose, operator_norm, same_action,
-                   strictify, to_numeric)
+from .homs import (StandardRegularMap, Unitary, apply_to_unitary, compose,
+                   conjugate_standard, map_distance, numeric_compose,
+                   operator_norm, same_action, strictify, to_numeric)
 from .conjugacy import restandardize_triangle, standard_witness
 
 
@@ -80,10 +79,6 @@ class DirectSystem:
 
     def available_stages(self) -> int:
         return len(self.stages)
-
-
-def _as_numeric(m) -> NumericStarMap:
-    return m if isinstance(m, NumericStarMap) else to_numeric(m)
 
 
 @dataclass(frozen=True)
@@ -187,8 +182,8 @@ def _masa_flag(m, role: str, stage: int) -> dict:
 
 
 def _triangle_residual(inner, outer, connector) -> float:
-    lhs = numeric_compose(_as_numeric(outer), _as_numeric(inner))
-    return map_distance(lhs, _as_numeric(connector))
+    lhs = numeric_compose(to_numeric(outer), to_numeric(inner))
+    return map_distance(lhs, to_numeric(connector))
 
 
 def _report(d: CrossoverDiagram, residuals: list) -> DiagramReport:
@@ -336,7 +331,7 @@ def approx_intertwine(d: CrossoverDiagram) -> CorrectedDiagram:
              fixes[1::2], b_wit)):
         totals[role] = [Unitary(c.n, [x for x in (c, f, w) if x is not None])
                         for c, f, w in zip(corrections, fix, certs)]
-        wr[role] = [map_distance(u.then_ad(_as_numeric(m)), to_numeric(h))
+        wr[role] = [map_distance(u.then_ad(to_numeric(m)), to_numeric(h))
                     for u, m, h in zip(totals[role], maps, hats)]
 
     return CorrectedDiagram(out.alphas_hat, out.betas_hat,

@@ -305,6 +305,25 @@ def test_cli_spectrum(tmp_path):
     assert code == 2
 
 
+def test_cli_spectrum_compare_loads_one_file_once(tmp_path, capsys,
+                                                  monkeypatch):
+    s2 = write_json(tmp_path / "s2.json", iolib.encode_system(uhf_system(2, 3)))
+    copy = tmp_path / "copy.json"
+    copy.write_bytes((tmp_path / "s2.json").read_bytes())
+    loads = []
+    load = iolib.load_object
+    monkeypatch.setattr(iolib, "load_object",
+                        lambda *a, **k: loads.append(a[0]) or load(*a, **k))
+    outputs = []
+    for other, read in ((s2, [s2]), (str(copy), [s2, str(copy)])):
+        loads.clear()
+        code = main(["spectrum", "--system", s2, "--depth", "3",
+                     "--compare", other])
+        outputs.append((code, capsys.readouterr().out))
+        assert loads == read
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 def fib_files(tmp_path):
     one = MonotoneMap.identity(1)
     f = [1, 1, 2, 3, 5, 8]
@@ -491,6 +510,16 @@ def test_cli_rejects_non_edge_images_and_non_finite_numbers(
     monkeypatch.setenv("LIMITALG_TOL", "inf")
     for argv in argvs:
         _typed_failure(argv, capsys, "UsageError")
+
+
+def test_cli_sweep_above_the_cap_exits_2(tmp_path, capsys, monkeypatch):
+    from limitalg import homs
+    doc = iolib.encode_map(la.to_numeric(la.refinement_map(2, 1, 2)))
+    p = write_json(tmp_path / "num.json", doc)
+    monkeypatch.setattr(homs, "_SWEEP_CAP", 1)
+    for verb in ("regular-test", "standardize", "detect"):
+        err = _typed_failure([verb, "--map", p], capsys, "CapacityExceeded")
+        assert err["data"] == {"units": 4, "pairs": 16, "cap": 1}
 
 
 def test_cli_rejects_entries_listed_twice(tmp_path, capsys):
