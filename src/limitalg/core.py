@@ -79,16 +79,18 @@ class DigraphAlgebra:
     """Validated digraph algebra with its block structure precomputed.
 
     Do not call directly; use build_digraph_algebra or one of the model
-    builders below. Instances compare and hash by (n, edges).
+    builders below. The builder returns the live instance for an equal
+    relation, so instances compare by identity.
     """
 
     __slots__ = ("graph", "blocks", "cstar_classes", "class_trees", "reduced",
                  "_block_of", "_class_of", "_block_of_block", "_mask",
-                 "__weakref__")
+                 "_units", "__weakref__")
 
     def __init__(self, graph: Digraph):
         self.graph = graph
         self._mask = None
+        self._units = None
         n, edges = graph.n, graph.edges
 
         # blocks: mutual-edge classes, ordered by least element
@@ -192,21 +194,33 @@ class DigraphAlgebra:
             self._mask = mask
         return self._mask
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DigraphAlgebra)
-                and self.n == other.n and self.edges == other.edges)
+    def envelope_units(self) -> tuple:
+        """(units, row): the matrix units of the generated C*-algebra, and
+        their positions; built on first use and shared by every caller.
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        units lists the sorted edges, then the other within-class units
+        class by class, each class row-major. row is a read-only
+        (n+1) x (n+1) int array with row[i, j] the position of e_ij in
+        units, and -1 off the envelope.
+        """
+        if self._units is None:
+            units = sorted(self.graph.edges) + [
+                (i, j) for cls in self.cstar_classes for i in cls for j in cls
+                if (i, j) not in self.graph.edges]
+            row = np.full((self.n + 1,) * 2, -1, dtype=int)
+            row[tuple(np.array(units).T)] = np.arange(len(units))
+            row.setflags(write=False)
+            self._units = (tuple(units), row)
+        return self._units
 
     def __repr__(self) -> str:
         return (f"DigraphAlgebra(n={self.n}, blocks={len(self.blocks)}, "
                 f"classes={len(self.cstar_classes)})")
 
 
-# Built algebras by (n, edges), held weakly: an algebra is immutable and
-# compares by (n, edges), only validated relations are stored, and an entry
-# lives only as long as some caller holds the algebra.
+# Built algebras by (n, edges), held weakly: an algebra is immutable, only
+# validated relations are stored, and an entry lives only as long as some
+# caller holds the algebra. So equal live algebras are one object.
 _INTERNED = weakref.WeakValueDictionary()
 
 

@@ -18,9 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .core import DigraphAlgebra
-from .errors import (CapacityExceeded, CensusMismatch, Disconnected,
-                     InconsistentRanks, InternalError, NotRegular,
-                     SourceTargetMismatch, TooFarApart)
+from .errors import (CapacityExceeded, CensusMismatch, InconsistentRanks,
+                     InternalError, NotRegular, SourceTargetMismatch,
+                     TooFarApart)
 from .homs import (DEFAULT_TOL, IndexMap, MultiplicityOneMap, NumericStarMap,
                    StandardRegularMap, Unitary, assemble_regular,
                    conjugate_numeric, map_distance, to_numeric,
@@ -61,21 +61,16 @@ class TestWord:
         }
 
 
-def test_word(a: DigraphAlgebra, component) -> TestWord:
-    """Deterministic test word for a connected index set.
+def test_word(a: DigraphAlgebra, c: int) -> TestWord:
+    """Deterministic test word for the cstar class with index c.
 
-    component is a cstar class index or an iterable of diagonal indices.
     The walk is depth-first from the least index with ascending children on
     a spanning tree of the undirected edge support; each tree edge
     contributes a token and its adjoint, so n = 2(size - 1), and a singleton
-    contributes its diagonal unit with n = 1.
+    contributes its diagonal unit with n = 1. The walk keeps its own stack,
+    so its depth is not bounded by the interpreter's recursion limit.
     """
-    if isinstance(component, (int, np.integer)):
-        verts = sorted(a.cstar_classes[int(component)])
-    else:
-        verts = sorted(int(i) for i in component)
-    if not verts:
-        raise ValueError("empty component")
+    verts = a.cstar_classes[c]
     vset = set(verts)
     und = {i: set() for i in verts}
     for (i, j) in a.edges:
@@ -85,20 +80,20 @@ def test_word(a: DigraphAlgebra, component) -> TestWord:
     root = verts[0]
     seen = {root}
     steps = []
-
-    def visit(u):
-        for c in sorted(und[u]):
-            if c not in seen:
-                seen.add(c)
-                steps.append((u, c))
-                visit(c)
-                steps.append((c, u))
-
-    visit(root)
-    if seen != vset:
-        raise Disconnected(
-            f"indices {sorted(vset - seen)} are not reachable from {root}",
-            component=verts)
+    # (vertex, iterator over its children still to try) along the path
+    path = [(root, iter(sorted(und[root])))]
+    while path:
+        u, children = path[-1]
+        for v in children:
+            if v not in seen:
+                seen.add(v)
+                steps.append((u, v))
+                path.append((v, iter(sorted(und[v]))))
+                break
+        else:
+            path.pop()
+            if path:
+                steps.append((u, path[-1][0]))
     if not steps:
         tokens = ((root, root, False),)
     else:
@@ -106,7 +101,7 @@ def test_word(a: DigraphAlgebra, component) -> TestWord:
             (u, v, False) if a.has_edge(u, v) else (v, u, True)
             for (u, v) in steps)
     n = len(tokens)
-    return TestWord(tokens, root, n, 1.0 / (n + 1), tuple(verts))
+    return TestWord(tokens, root, n, 1.0 / (n + 1), verts)
 
 
 def threshold_constant(a: DigraphAlgebra) -> float:

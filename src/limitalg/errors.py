@@ -81,10 +81,6 @@ class SourceTargetMismatch(LimitalgError):
     pass
 
 
-class AmbientTooSmall(LimitalgError):
-    pass
-
-
 class NotOrthogonal(LimitalgError):
     """Requested projections fail mutual orthogonality."""
 
@@ -157,10 +153,6 @@ class InconsistentRanks(LimitalgError):
     def __init__(self, r: int, j: int, value: int):
         super().__init__(f"rank equation at block {r}, diagonal {j} leaves {value}",
                          r=r, j=j, value=value)
-
-
-class Disconnected(LimitalgError):
-    """A C*-class failed to be connected where connectivity is required."""
 
 
 class CapacityExceeded(LimitalgError):

@@ -24,10 +24,9 @@ import numpy as np
 from .core import (DigraphAlgebra, RankMatrix, StandardPartialIsometry,
                    identity_unitary, tensor_model, direct_sum_algebra,
                    tr_algebra)
-from .errors import (AmbientTooSmall, BlockPartial, CapacityExceeded,
-                     EdgeIncompatible, ImageOverlap, NotInjective, NotInRange,
-                     NotMultiplicative, NotStarConsistent, ShapeMismatch,
-                     SourceTargetMismatch)
+from .errors import (BlockPartial, CapacityExceeded, EdgeIncompatible,
+                     ImageOverlap, NotInjective, NotInRange, NotMultiplicative,
+                     NotStarConsistent, ShapeMismatch, SourceTargetMismatch)
 
 DEFAULT_TOL = 1e-9
 
@@ -221,15 +220,13 @@ class StandardRegularMap:
         return tuple(out)
 
     def rank_matrix(self) -> RankMatrix:
-        rows = []
-        for blk in self.target.blocks:
-            bset = set(blk)
-            row = []
-            for j in range(1, self.source.n + 1):
-                row.append(sum(1 for s in self.summands
-                               if j in s.domain() and s(j) in bset))
-            rows.append(tuple(row))
-        return RankMatrix(tuple(rows))
+        """Entry (r, j): the summands that carry index j into block r."""
+        rows = [[0] * self.source.n for _ in self.target.blocks]
+        bi = self.target.block_index
+        for s in self.summands:
+            for i, j in s._iota.items():
+                rows[bi(j)][i - 1] += 1
+        return RankMatrix(tuple(map(tuple, rows)))
 
     def canonical_summands(self) -> tuple:
         """Maximal decomposition, normalized and deterministically ordered."""
@@ -323,37 +320,15 @@ def compose(phi: StandardRegularMap, psi: StandardRegularMap
     return assemble_regular(pieces, source=psi.source, target=phi.target)
 
 
-def direct_sum(phi: StandardRegularMap, psi: StandardRegularMap,
-               ambient: Optional[DigraphAlgebra] = None,
-               offsets: Optional[tuple] = None) -> StandardRegularMap:
-    """Direct sum into an ambient algebra holding both targets.
-
-    Default ambient is the block direct sum of the two targets with the
-    obvious offsets. Reserved ranges must be disjoint and the shifted copies
-    of the target edge sets must embed in the ambient edges.
-    """
+def direct_sum(phi: StandardRegularMap, psi: StandardRegularMap
+               ) -> StandardRegularMap:
+    """Direct sum into the block direct sum of the two targets, phi's
+    target first."""
     if phi.source != psi.source:
         raise SourceTargetMismatch("direct sum needs a common source")
-    if ambient is None:
-        ambient = direct_sum_algebra(phi.target, psi.target)
-        offsets = (0, phi.target.n)
-    if offsets is None:
-        offsets = (0, phi.target.n)
-    (o1, o2) = offsets
-    spans = sorted([(o1, o1 + phi.target.n), (o2, o2 + psi.target.n)])
-    if spans[0][1] > spans[1][0]:
-        raise AmbientTooSmall("reserved index ranges overlap",
-                              offsets=list(offsets))
-    for (o, tgt) in ((o1, phi.target), (o2, psi.target)):
-        if o < 0 or o + tgt.n > ambient.n:
-            raise AmbientTooSmall(
-                f"range {o + 1}..{o + tgt.n} exceeds ambient size {ambient.n}")
-        for (i, j) in tgt.edges:
-            if (i + o, j + o) not in ambient.edges:
-                raise AmbientTooSmall(
-                    f"ambient lacks edge ({i + o},{j + o}) for an embedded target")
+    ambient = direct_sum_algebra(phi.target, psi.target)
     pieces = []
-    for (o, m) in ((o1, phi), (o2, psi)):
+    for (o, m) in ((0, phi), (phi.target.n, psi)):
         for s in m.summands:
             w = None if s._weight is None else dict(s._weight)
             pieces.append(validate_multiplicity_one(
@@ -454,9 +429,11 @@ class NumericStarMap:
     stack is a read-only (|E|, n, n) complex array holding the images of
     the source edges in sorted order; the map freezes the array it is
     given rather than copying it. images maps each edge to its row, and
-    is built once. Build through validate_numeric or to_numeric. Envelope
-    images (matrix units of the generated C*-algebra, not just of the
-    algebra) are derived lazily from a spanning tree of each class.
+    is built once. Build through validate_numeric or to_numeric. The
+    envelope (images of the matrix units of the generated C*-algebra, not
+    just of the algebra) is one read-only stack in the order of
+    source.envelope_units(), whose leading rows are the edge images; it is
+    derived lazily from a spanning tree of each class.
     """
 
     __slots__ = ("source", "target", "stack", "images", "tolerance", "_env")
@@ -471,7 +448,9 @@ class NumericStarMap:
         self.source = source
         self.target = target
         self.stack = stack
-        self.images = MappingProxyType(dict(zip(sorted(source.edges), stack)))
+        # units open with the sorted edges, so zip pairs each edge with its row
+        self.images = MappingProxyType(
+            dict(zip(source.envelope_units()[0], stack)))
         self.tolerance = float(tolerance)
         self._env = None
 
@@ -479,13 +458,21 @@ class NumericStarMap:
         return self.images[(i, j)]
 
     def envelope_image(self, i: int, j: int) -> np.ndarray:
-        if (i, j) in self.images:
-            return self.images[(i, j)]
-        return self._envelope()[(i, j)]
+        """Image of the envelope unit e_ij; KeyError off the envelope."""
+        n, row = self.source.n, self.source.envelope_units()[1]
+        k = row[i, j] if 1 <= i <= n and 1 <= j <= n else -1
+        if k < 0:
+            raise KeyError((i, j))
+        return self._envelope()[k]
 
-    def _envelope(self) -> dict:
+    def _envelope(self) -> np.ndarray:
         if self._env is None:
-            self._env = _envelope_extension(self.images, self.source)
+            env = np.empty((len(self.source.envelope_units()[0]),)
+                           + self.stack.shape[1:], dtype=complex)
+            env[:len(self.stack)] = self.stack
+            _envelope_extension(env, self.source)
+            env.setflags(write=False)
+            self._env = env
         return self._env
 
     def rank_matrix(self) -> RankMatrix:
@@ -502,25 +489,24 @@ class NumericStarMap:
                 f"tol={self.tolerance:g})")
 
 
-def _envelope_extension(images: Mapping, source: DigraphAlgebra) -> dict:
-    """Images of all within-class matrix units, given-algebra ones verbatim.
+def _envelope_extension(env: np.ndarray, source: DigraphAlgebra) -> None:
+    """Fill the non-edge rows of an envelope stack in place.
 
-    Products along the class tree from its root define e_{root, x};
-    then e_xy = e_{root,x}* e_{root,y}.
+    env is a (u, n, n) stack in the order of source.envelope_units() whose
+    edge rows hold the edge images. Products along the class tree from its
+    root define e_{root, x}; then e_xy = e_{root,x}* e_{root,y}.
     """
-    env = {}
+    units, row = source.envelope_units()
+    reach = {}
     for cls, tree in zip(source.cstar_classes, source.class_trees):
-        root = cls[0]
-        reach = {root: images[(root, root)]}
+        reach[cls[0]] = env[row[cls[0], cls[0]]]
         for p, c in tree:
-            step = (images[(p, c)] if (p, c) in images
-                    else images[(c, p)].conj().T)
+            step = (env[row[p, c]] if source.has_edge(p, c)
+                    else env[row[c, p]].conj().T)
             reach[c] = reach[p] @ step
-        for i in cls:
-            for j in cls:
-                env[(i, j)] = (images[(i, j)] if (i, j) in images
-                               else reach[i].conj().T @ reach[j])
-    return env
+    for k in range(len(source.edges), len(units)):
+        i, j = units[k]
+        env[k] = reach[i].conj().T @ reach[j]
 
 
 def _residual_over(x: np.ndarray, tol: float) -> Optional[float]:
@@ -570,8 +556,9 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
     u envelope units and blocks of sizes m_B, against u^2 n^3 pair by pair,
     as one gemm per block in chunks of bounded size (_CHUNK_BYTES).
     Otherwise it multiplies one block of all n indices. The images are
-    copied once, into the leading rows of the envelope stack, and those
-    rows become the stack of the map returned.
+    copied once, into the leading rows of the envelope stack; the stack
+    becomes the envelope of the map returned, and its leading rows the
+    map's stack.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
@@ -588,7 +575,8 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
         if not np.isfinite(arr).all():
             raise ValueError(f"image of ({i},{j}) has a non-finite entry")
         work[(i, j)] = arr
-    edges = sorted(source.edges)
+    units, row = source.envelope_units()
+    edges = units[:len(source.edges)]
     for (i, j) in edges:
         if (i, j) not in work:
             raise ShapeMismatch(f"missing image for matrix unit ({i},{j})")
@@ -598,18 +586,15 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
                 f"image given for ({i},{j}), which is not a source edge")
 
     # envelope stack: the given images in edge order, then derived units
-    units = edges + [(i, j) for cls in source.cstar_classes
-                     for i in cls for j in cls if (i, j) not in work]
     stack = np.empty((len(units), target.n, target.n), dtype=complex)
     for p, e in enumerate(edges):
         stack[p] = work[e]
     given = stack[:len(edges)]
-    pos = {e: p for p, e in enumerate(edges)}
     cut = tol * (1 - 1e-9)
 
     star = [(i, j) for (i, j) in edges if (j, i) in work and i <= j]
-    a = [pos[(j, i)] for i, j in star]
-    b = [pos[(i, j)] for i, j in star]
+    a = [row[j, i] for i, j in star]
+    b = [row[i, j] for i, j in star]
     for (p,) in _flagged(_frob2(stack[a] - stack[b].conj().transpose(0, 2, 1)),
                          cut):
         i, j = star[p]
@@ -634,19 +619,17 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
             f"the multiplicativity sweep over {len(units)} envelope units "
             f"needs {len(units) ** 2} pairs, above the cap of {_SWEEP_CAP}",
             units=len(units), pairs=len(units) ** 2, cap=_SWEEP_CAP)
-    env = _envelope_extension(work, source)
-    for p in range(len(edges), len(units)):
-        stack[p] = env[units[p]]
+    _envelope_extension(stack, source)
     stack.setflags(write=False)
     cls = np.array([target.class_index(i) for i in range(1, target.n + 1)])
     if ((stack != 0) & (cls[:, None] != cls)).any():
         blocks = [np.arange(target.n)]
     else:
         blocks = [np.array(c) - 1 for c in target.cstar_classes]
-    _sweep_products(units, stack, blocks, tol)
+    _sweep_products(source, stack, blocks, tol)
 
     out = NumericStarMap(source, target, given, tol)
-    out._env = dict(zip(units, stack))
+    out._env = stack
     return out
 
 
@@ -666,20 +649,19 @@ def _flagged(sq: np.ndarray, cut) -> Iterable:
     return zip(*np.nonzero(~(np.sqrt(sq) <= cut)))
 
 
-def _sweep_products(units: list, stack: np.ndarray, blocks: list,
+def _sweep_products(source: DigraphAlgebra, stack: np.ndarray, blocks: list,
                     tol: float) -> None:
     """Raise NotMultiplicative at the first failing pair of units x units.
 
-    stack[p] is the image of units[p]; blocks are the target index arrays
-    whose diagonal blocks carry every product. Pairs are taken in
-    row-major order over the sorted units, as
+    stack is the envelope of source, in the order of its envelope_units();
+    blocks are the target index arrays whose diagonal blocks carry every
+    product. Pairs are taken in row-major order over the sorted units, as
     itertools.product(sorted(units), repeat=2); validate_numeric documents
     the batched flag test and its margin.
     """
+    units, at = source.envelope_units()
     srt = sorted(units)
     us = np.array(srt)
-    at = np.zeros((us.max() + 1,) * 2, dtype=int)
-    at[tuple(np.array(units).T)] = np.arange(len(units))
     # stack row of each sorted unit
     li = at[us[:, 0], us[:, 1]]
     # rows (p, q, e): srt[p] = e_ij, srt[q] = e_jl, e = stack row of e_il
@@ -696,12 +678,18 @@ def _sweep_products(units: list, stack: np.ndarray, blocks: list,
         rhs = sb[li].transpose(1, 0, 2).reshape(m, -1)
         cb = max(1, min(u, _CHUNK_BYTES // (16 * m * m)))
         ca = max(1, _CHUNK_BYTES // (16 * m * m * cb))
+        # trip rows grouped by chunk, in their order within each chunk
+        nb = -(-u // cb)
+        chunk = trip[:, 0] // ca * nb + trip[:, 1] // cb
+        order = np.argsort(chunk, kind="stable")
+        bounds = np.searchsorted(chunk[order], np.arange(-(-u // ca) * nb + 1))
+        grouped = trip[order]
         for a0 in range(0, u, ca):
             a1 = min(a0 + ca, u)
             for b0 in range(0, u, cb):
                 b1 = min(b0 + cb, u)
-                t = trip[(trip[:, 0] >= a0) & (trip[:, 0] < a1)
-                         & (trip[:, 1] >= b0) & (trip[:, 1] < b1)]
+                c = a0 // ca * nb + b0 // cb
+                t = grouped[bounds[c]:bounds[c + 1]]
                 sq[a0:a1, b0:b1] += _chunk_residuals(
                     lhs[a0 * m:a1 * m], rhs[:, b0 * m:b1 * m],
                     t - (a0, b0, 0), sb)
@@ -733,39 +721,25 @@ def _chunk_residuals(lhs: np.ndarray, rhs: np.ndarray, trip: np.ndarray,
     return np.einsum("aibj,aibj->ab", v, v)
 
 
-def to_numeric(phi, phases: Optional[Sequence] = None) -> NumericStarMap:
+def to_numeric(phi) -> NumericStarMap:
     """Dense image stack of a standard regular map.
 
-    A numeric map is returned unchanged. phases, when given, lists one
-    extra weight mapping per summand of a standard map (None entries
-    allowed); these multiply the summand's own weights. Strict unphased
-    maps validate at tolerance 0.
+    A numeric map is returned unchanged. The images come straight off a
+    validated standard map, so no multiplicativity sweep runs; a strict
+    map gets tolerance 0, a weighted one 1e-12.
     """
     if isinstance(phi, NumericStarMap):
-        if phases is not None:
-            raise ValueError("phases apply to standard maps only")
         return phi
-    extra = list(phases) if phases is not None else [None] * len(phi.summands)
-    if len(extra) != len(phi.summands):
-        raise ValueError("one phase mapping per summand expected")
     n2 = phi.target.n
-    edges = sorted(phi.source.edges)
+    edges = phi.source.envelope_units()[0][:len(phi.source.edges)]
     stack = np.zeros((len(edges), n2, n2), dtype=complex)
-    for s, ph in zip(phi.summands, extra):
+    for s in phi.summands:
         dom = s.domain()
         for p, (i, j) in enumerate(edges):
             if i in dom and j in dom:
-                c = s.unit_coeff(i, j)
-                if ph is not None:
-                    c = c * complex(ph.get(i, 1.0)) * np.conj(complex(ph.get(j, 1.0)))
-                stack[p, s(i) - 1, s(j) - 1] += c
-    if phases is None or all(p is None for p in extra):
-        # images come straight off a validated standard map; repeating the
-        # multiplicativity sweep here is pure cost
-        return NumericStarMap(phi.source, phi.target, stack,
-                              0.0 if phi.is_strict else 1e-12)
-    return validate_numeric(dict(zip(edges, stack)), phi.source, phi.target,
-                            tol=1e-12)
+                stack[p, s(i) - 1, s(j) - 1] += s.unit_coeff(i, j)
+    return NumericStarMap(phi.source, phi.target, stack,
+                          0.0 if phi.is_strict else 1e-12)
 
 
 def numeric_compose(phi: NumericStarMap, psi: NumericStarMap) -> NumericStarMap:

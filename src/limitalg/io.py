@@ -97,6 +97,12 @@ def encode_complex(z) -> list:
     return [z.real, z.imag]
 
 
+def _encode_matrices(m) -> list:
+    """encode_complex on every entry of an array, nesting kept."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack((m.real, m.imag), -1).tolist()
+
+
 def _fail(pointer: str, message: str):
     raise SchemaError(pointer, message)
 
@@ -312,13 +318,9 @@ def encode_standard_map(phi: StandardRegularMap, algebras=None) -> dict:
 
 
 def encode_numeric_map(phi: NumericStarMap, algebras=None) -> dict:
-    rows = []
-    for (i, j) in sorted(phi.images):
-        m = phi.images[(i, j)]
-        rows.append({"i": i, "j": j,
-                     "matrix": [[encode_complex(m[p, q])
-                                 for q in range(m.shape[1])]
-                                for p in range(m.shape[0])]})
+    # images are keyed in sorted edge order, the order of the stack rows
+    rows = [{"i": i, "j": j, "matrix": m}
+            for (i, j), m in zip(phi.images, _encode_matrices(phi.stack))]
     return {"type": "numeric",
             "source": _algebra_ref(phi.source, algebras),
             "target": _algebra_ref(phi.target, algebras),
@@ -340,11 +342,7 @@ def encode_unitary(u: Unitary) -> dict:
                          "phases": [[i, encode_complex(f.phase(i))]
                                     for i in sorted(f.domain())]})
         else:
-            m = np.asarray(f)
-            rows.append({"type": "dense",
-                         "matrix": [[encode_complex(m[p, q])
-                                     for q in range(m.shape[1])]
-                                    for p in range(m.shape[0])]})
+            rows.append({"type": "dense", "matrix": _encode_matrices(f)})
     return {"n": u.n, "factors": rows}
 
 

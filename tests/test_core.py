@@ -158,6 +158,22 @@ def test_support_mask_built_once_and_read_only():
     assert not a.support_mask()[0, 4]
 
 
+def test_envelope_units_built_once_and_read_only():
+    v = la.build_digraph_algebra(3, [(1, 1), (2, 2), (3, 3), (1, 3), (2, 3)])
+    a = la.direct_sum_algebra(v, la.tr_algebra(2), la.diagonal_algebra(1))
+    units, row = a.envelope_units()
+    assert a.envelope_units()[1] is row
+    # sorted edges first, then the other units class by class, row-major
+    derived = [(i, j) for cls in a.cstar_classes for i in cls for j in cls
+               if (i, j) not in a.edges]
+    assert units == tuple(sorted(a.edges) + derived)
+    assert row.shape == (a.n + 1, a.n + 1)
+    assert {(i, j): int(row[i, j]) for i, j in zip(*np.nonzero(row >= 0))} \
+        == {u: k for k, u in enumerate(units)}
+    with pytest.raises(ValueError):
+        row[1, 1] = 0
+
+
 def test_interned_algebras_and_failed_builds():
     import gc
     from limitalg import core
@@ -165,6 +181,9 @@ def test_interned_algebras_and_failed_builds():
     a = la.build_digraph_algebra(3, edges)
     assert la.build_digraph_algebra(3, set(edges)) is a
     assert la.tr_algebra(3) is a
+    # equality is identity: equal relations share the live instance
+    assert a == la.build_digraph_algebra(3, reversed(edges))
+    assert a != la.diagonal_algebra(3) and a != la.tr_algebra(2)
     key = (3, frozenset(edges))
     del a
     gc.collect()

@@ -13,8 +13,9 @@ from limitalg import detect
 from limitalg.errors import (CapacityExceeded, InconsistentRanks, NotRegular,
                              SourceTargetMismatch, TooFarApart)
 
-from conftest import (random_block_hermitian, random_monomial_unitary,
-                      random_standard_map, unitary_exp)
+from conftest import (random_algebra, random_block_hermitian,
+                      random_monomial_unitary, random_standard_map,
+                      unitary_exp)
 
 
 def unit9(i, j):
@@ -82,6 +83,39 @@ def test_word_singleton():
     assert w.tokens == ((2, 2, False),)
     assert w.length == 1
     assert w.threshold == pytest.approx(0.5)
+
+
+def recursive_word_steps(a, c):
+    """The depth-first walk of test_word as a recursive function."""
+    vset = set(a.cstar_classes[c])
+    und = {i: {j for (x, j) in a.edges if x == i and j != i and j in vset}
+           | {x for (x, j) in a.edges if j == i and x != i and x in vset}
+           for i in vset}
+    root = min(vset)
+    seen, steps = {root}, []
+
+    def visit(u):
+        for v in sorted(und[u]):
+            if v not in seen:
+                seen.add(v)
+                steps.append((u, v))
+                visit(v)
+                steps.append((v, u))
+
+    visit(root)
+    return steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_word_walk_matches_recursive_walk(seed):
+    a = random_algebra(np.random.default_rng(seed), n_max=9)
+    for c, cls in enumerate(a.cstar_classes):
+        steps = recursive_word_steps(a, c)
+        want = (tuple((u, v, False) if a.has_edge(u, v) else (v, u, True)
+                      for u, v in steps) or ((cls[0], cls[0], False),))
+        w = la.test_word(a, c)
+        assert (w.tokens, w.component) == (want, cls)
 
 
 def test_threshold_constant():

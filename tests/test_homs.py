@@ -227,6 +227,18 @@ def test_direct_sum_of_maps():
     assert len(la.decompose_maximal(both)) == 2
 
 
+def test_envelope_image_reads_the_envelope_and_nothing_else():
+    a = la.direct_sum_algebra(la.tr_algebra(2), la.diagonal_algebra(1))
+    phi = la.to_numeric(la.refinement_map(2, 1, 2))
+    psi = la.to_numeric(la.direct_sum(la.identity_map(a), la.identity_map(a)))
+    assert np.array_equal(phi.envelope_image(2, 1),
+                          phi.images[(1, 2)].conj().T)
+    for key in ((1, 3), (3, 1), (0, 1), (1, 0), (4, 4), (-1, 1)):
+        with pytest.raises(KeyError):
+            psi.envelope_image(*key)
+    assert np.array_equal(psi.envelope_image(3, 3), psi.images[(3, 3)])
+
+
 def test_unitary_factor_algebra():
     a = la.full_matrix_algebra(3)
     rng = np.random.default_rng(3)
@@ -263,6 +275,24 @@ def test_validate_numeric_rejects_non_finite_entries():
 # per-item validation loop, kept as the oracle for the batched checks
 
 
+def dict_envelope(images, source):
+    """Images of all within-class matrix units, given-algebra ones verbatim,
+    as a dict built along the class trees."""
+    env = {}
+    for cls, tree in zip(source.cstar_classes, source.class_trees):
+        root = cls[0]
+        reach = {root: images[(root, root)]}
+        for p, c in tree:
+            step = (images[(p, c)] if (p, c) in images
+                    else images[(c, p)].conj().T)
+            reach[c] = reach[p] @ step
+        for i in cls:
+            for j in cls:
+                env[(i, j)] = (images[(i, j)] if (i, j) in images
+                               else reach[i].conj().T @ reach[j])
+    return env
+
+
 def reference_validate(images, source, target, tol):
     """validate_numeric as one residual per star pair, image and unit pair.
 
@@ -282,7 +312,7 @@ def reference_validate(images, source, target, tol):
         res = homs._residual_over(off, tol)
         if res is not None:
             raise NotInRange(i, j, res)
-    env = homs._envelope_extension(work, source)
+    env = dict_envelope(work, source)
     units = sorted(env)
     ci = source.class_index
     for (i, j), (k, l) in itertools.product(units, units):
@@ -303,8 +333,10 @@ def _outcome(fn, *args):
     except LimitalgError as err:
         data = dict(err.data)
         return type(err), data, data["residual"].hex()
-    env = out if isinstance(out, dict) else out._envelope()
-    return "accepted", {k: env[k].tobytes() for k in sorted(env)}
+    if isinstance(out, dict):
+        return "accepted", {k: out[k].tobytes() for k in sorted(out)}
+    units = sorted(out.source.envelope_units()[0])
+    return "accepted", {k: out.envelope_image(*k).tobytes() for k in units}
 
 
 def _block_unitary(rng, a):
@@ -402,9 +434,9 @@ def test_sweep_splits_exactly_block_diagonal_targets_only(monkeypatch):
     seen = []
     sweep = homs._sweep_products
 
-    def spy(units, stack, blocks, *rest):
+    def spy(source, stack, blocks, *rest):
         seen.append(len(blocks))
-        return sweep(units, stack, blocks, *rest)
+        return sweep(source, stack, blocks, *rest)
 
     monkeypatch.setattr(homs, "_sweep_products", spy)
     rng = np.random.default_rng(5)
@@ -489,6 +521,7 @@ def test_stacked_numeric_layer_matches_per_edge_loops(seed, exact):
     assert (la.map_distance(moved, phi).hex()
             == _loop_distance(moved, phi).hex())
     assert moved.rank_matrix().entries == _loop_rank_matrix(moved)
+    assert phi_std.rank_matrix() == moved.rank_matrix()
     # one gemm sums in BLAS order where the loop added term by term; the
     # largest entry gap over 6000 draws of this test was 1.0e-15
     got = la.numeric_compose(moved, psi)

@@ -758,3 +758,22 @@ def test_cli_spectrum_full_depth_digests(tmp_path, capsys, monkeypatch):
         assert code == want
         assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
                 == goldens[f"spectrum-{lhs}-{rhs}@depth{depth}"])
+
+
+def test_cli_detect_on_a_long_zigzag_poset(tmp_path, capsys):
+    # 1500 indices, edges (2k-1, 2k) and (2k+1, 2k): one C*-class whose
+    # test word walks a path 1499 edges deep
+    n = 1500
+    edges = ([(i, i) for i in range(1, n + 1)]
+             + [(2 * k - 1, 2 * k) for k in range(1, n // 2 + 1)]
+             + [(2 * k + 1, 2 * k) for k in range(1, n // 2)])
+    a = la.build_digraph_algebra(n, edges)
+    p = write_json(tmp_path / "zigzag.json",
+                   iolib.encode_map(la.identity_map(a)))
+    code = main(["detect", "--map", p])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    report = json.loads(out.out)
+    assert report["residual_rank"] == 0 and report["total_rank"] == n
+    assert [row["multiplicity"] for row in report["classes"]] == [1]
+    assert report["threshold"] == 1 / (2 * (n - 1) + 1)
