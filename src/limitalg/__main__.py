@@ -1,0 +1,8 @@
+"""The command line as ``python -m limitalg``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

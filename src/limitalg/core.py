@@ -25,9 +25,10 @@ import functools
 import itertools
 import operator
 import weakref
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -84,8 +85,8 @@ class DigraphAlgebra:
     """
 
     __slots__ = ("graph", "blocks", "cstar_classes", "class_trees", "reduced",
-                 "_block_of", "_class_of", "_block_of_block", "_mask",
-                 "_units", "__weakref__")
+                 "_block_of", "_class_of", "_block_of_block", "_neighbours",
+                 "_mask", "_units", "__weakref__")
 
     def __init__(self, graph: Digraph):
         self.graph = graph
@@ -113,7 +114,7 @@ class DigraphAlgebra:
         self._block_of = block_of
 
         # cstar classes: undirected components, each with its BFS tree
-        adj = {i: set() for i in range(1, n + 1)}
+        adj = [set() for _ in range(n + 1)]
         for (i, j) in edges:
             if i != j:
                 adj[i].add(j)
@@ -136,6 +137,7 @@ class DigraphAlgebra:
             trees.append(tuple(tree))
         self.cstar_classes = tuple(classes)
         self.class_trees = tuple(trees)
+        self._neighbours = tuple(tuple(sorted(a)) for a in adj)
 
         class_of = {}
         for c, cls in enumerate(self.cstar_classes):
@@ -176,6 +178,11 @@ class DigraphAlgebra:
 
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.graph.edges
+
+    def neighbours(self, i: int) -> tuple:
+        """Indices other than i joined to i by an edge either way,
+        ascending; they all lie in the cstar class of i."""
+        return self._neighbours[i]
 
     def unit(self, i: int, j: int) -> np.ndarray:
         m = np.zeros((self.n, self.n), dtype=complex)
@@ -324,11 +331,12 @@ class StandardPartialIsometry:
                  phases: Optional[Mapping[int, complex]] = None):
         if not isinstance(pairs, Mapping):
             pairs = dict(pairs)
+        n = algebra.n
         pmap = {}
         inverse = {}
         for i, j in pairs.items():
             i, j = int(i), int(j)
-            if not (1 <= i <= algebra.n and 1 <= j <= algebra.n):
+            if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"pair {i}->{j} out of range")
             if i in pmap:
                 raise NotInjective(i, i, pmap[i])
@@ -341,9 +349,10 @@ class StandardPartialIsometry:
         if phases is None:
             self._phase = {i: 1.0 + 0.0j for i in self._map}
         else:
+            keyed = isinstance(phases, Mapping)
             ph = {}
             for i in self._map:
-                lam = complex(phases.get(i, 1.0)) if isinstance(phases, Mapping) else complex(phases[i])
+                lam = complex(phases.get(i, 1.0) if keyed else phases[i])
                 if abs(abs(lam) - 1.0) > 1e-12:
                     raise ValueError(f"phase at {i} is not unimodular")
                 ph[i] = lam

@@ -68,27 +68,23 @@ def test_word(a: DigraphAlgebra, c: int) -> TestWord:
     a spanning tree of the undirected edge support; each tree edge
     contributes a token and its adjoint, so n = 2(size - 1), and a singleton
     contributes its diagonal unit with n = 1. The walk keeps its own stack,
-    so its depth is not bounded by the interpreter's recursion limit.
+    so its depth is not bounded by the interpreter's recursion limit, and
+    reads the algebra's neighbour lists, so its cost is linear in the class
+    and its edges.
     """
     verts = a.cstar_classes[c]
-    vset = set(verts)
-    und = {i: set() for i in verts}
-    for (i, j) in a.edges:
-        if i != j and i in vset and j in vset:
-            und[i].add(j)
-            und[j].add(i)
     root = verts[0]
     seen = {root}
     steps = []
     # (vertex, iterator over its children still to try) along the path
-    path = [(root, iter(sorted(und[root])))]
+    path = [(root, iter(a.neighbours(root)))]
     while path:
         u, children = path[-1]
         for v in children:
             if v not in seen:
                 seen.add(v)
                 steps.append((u, v))
-                path.append((v, iter(sorted(und[v]))))
+                path.append((v, iter(a.neighbours(v))))
                 break
         else:
             path.pop()

@@ -15,9 +15,10 @@ forms; a map is "strict" standard when all weights are trivial.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -79,10 +80,11 @@ class MultiplicityOneMap:
 
     Construct through validate_multiplicity_one, which checks injectivity,
     edge compatibility, and per-class totality (the star-extendibility
-    condition at multiplicity one).
+    condition at multiplicity one). The map never changes after that, so
+    its index map is built once, on first use.
     """
 
-    __slots__ = ("source", "target", "_iota", "_weight")
+    __slots__ = ("source", "target", "_iota", "_weight", "_index_map")
 
     def __init__(self, source: DigraphAlgebra, target: DigraphAlgebra,
                  iota: dict, weight: Optional[dict]):
@@ -91,6 +93,7 @@ class MultiplicityOneMap:
         self._iota = dict(sorted(iota.items()))
         self._weight = None if weight is None else {
             i: complex(weight[i]) for i in self._iota}
+        self._index_map = None
 
     @property
     def iota(self) -> dict:
@@ -120,10 +123,12 @@ class MultiplicityOneMap:
         return tuple(sorted(cls))
 
     def index_map(self) -> IndexMap:
-        pairs = {}
-        for i, j in self._iota.items():
-            pairs[self.source.block_index(i)] = self.target.block_index(j)
-        return IndexMap(tuple(pairs.items()))
+        if self._index_map is None:
+            pairs = {}
+            for i, j in self._iota.items():
+                pairs[self.source.block_index(i)] = self.target.block_index(j)
+            self._index_map = IndexMap(tuple(pairs.items()))
+        return self._index_map
 
     def restrict_to_class(self, c: int) -> "MultiplicityOneMap":
         keep = {i: j for i, j in self._iota.items()
@@ -144,7 +149,9 @@ class MultiplicityOneMap:
         w = {i: self._weight[i] / w0 for i in self._iota}
         if all(abs(v - 1.0) <= 1e-12 for v in w.values()):
             w = None
-        return MultiplicityOneMap(self.source, self.target, self._iota, w)
+        out = MultiplicityOneMap(self.source, self.target, self._iota, w)
+        out._index_map = self._index_map
+        return out
 
     def unit_coeff(self, i: int, j: int) -> complex:
         return self.weight(i) * np.conj(self.weight(j))
@@ -161,30 +168,57 @@ def validate_multiplicity_one(iota, source: DigraphAlgebra,
     """Check the three multiplicity-one invariants and build the map.
 
     iota may be a mapping or an iterable of (i, j) pairs. phases, when given,
-    assigns a unimodular weight to each domain index.
+    assigns a unimodular weight to each domain index. The checks run in the
+    order range, injectivity, edges, partial classes, and each raises at its
+    first witness.
+
+    Edges are decided on blocks, in O(|dom| + |reduced edges|). Blocks are
+    complete, and by transitivity the edges between two blocks are all
+    present or all absent; so the edge set is the blow-up of the reduced
+    one. Hence iota preserves edges exactly when (a) it sends the covered
+    indices of each source block into a single target block tau(r), since
+    any two of them are joined both ways, and (b) for each reduced source
+    edge (r, q) between covered blocks, (tau(r), tau(q)) is a reduced target
+    edge. Only when this fails are the sorted source edges scanned, so that
+    EdgeIncompatible names the least failing pair. BlockPartial names the
+    least class that the domain meets but does not cover.
     """
     if not isinstance(iota, Mapping):
         iota = dict(iota)
+    sn, tn = source.n, target.n
     imap = {}
     seen_targets = {}
     for i, j in iota.items():
         i, j = int(i), int(j)
-        if not (1 <= i <= source.n):
+        if not (1 <= i <= sn):
             raise ValueError(f"source index {i} out of range")
-        if not (1 <= j <= target.n):
+        if not (1 <= j <= tn):
             raise ValueError(f"target index {j} out of range")
         if j in seen_targets:
             raise NotInjective(seen_targets[j], i, j)
         seen_targets[j] = i
         imap[i] = j
-    dom = set(imap)
-    for (i, j) in source.edges:
-        if i in dom and j in dom and (imap[i], imap[j]) not in target.edges:
-            raise EdgeIncompatible(i, j)
-    for cls in source.cstar_classes:
-        hit = dom & set(cls)
-        if hit and hit != set(cls):
-            raise BlockPartial(cls)
+    sb, tb, sc = source.block_index, target.block_index, source.class_index
+    tau = {}
+    hits = {}
+    ok = True
+    for i, j in imap.items():
+        b = tb(j)
+        if tau.setdefault(sb(i), b) != b:
+            ok = False
+        c = sc(i)
+        hits[c] = hits.get(c, 0) + 1
+    tred = target.reduced.edges
+    if not (ok and all((tau[r], tau[q]) in tred
+                       for r, q in source.reduced.edges
+                       if r in tau and q in tau)):
+        raise EdgeIncompatible(*next(
+            (i, j) for i, j in sorted(source.edges)
+            if i in imap and j in imap
+            and (imap[i], imap[j]) not in target.edges))
+    for c in sorted(hits):
+        if hits[c] != len(source.cstar_classes[c]):
+            raise BlockPartial(source.cstar_classes[c])
     w = None
     if phases is not None:
         w = {}
@@ -288,11 +322,15 @@ def decompose_maximal(phi: StandardRegularMap) -> tuple:
     edge inside one summand, so a summand splits exactly along the cstar
     classes it covers: each class is connected, and links never leave a
     class. The per-(summand, class) restrictions are therefore the maximal
-    pieces.
+    pieces; a summand that covers one class is its own restriction.
     """
     parts = []
     for s in phi.summands:
-        for c in s.covered_classes():
+        covered = s.covered_classes()
+        if len(covered) == 1:
+            parts.append(s)
+            continue
+        for c in covered:
             parts.append(s.restrict_to_class(c))
     parts.sort(key=lambda p: (min(p.domain()), p.index_map().sort_key(),
                               min(p.image())))

@@ -14,8 +14,8 @@ from limitalg.errors import (BlockPartial, CapacityExceeded,
                              NotInjective, NotInRange, NotMultiplicative,
                              NotStarConsistent, ShapeMismatch)
 
-from conftest import (EXACT_PHASES, random_algebra, random_monomial_unitary,
-                      random_standard_map)
+from conftest import (EXACT_PHASES, random_algebra, random_block_permutation,
+                      random_monomial_unitary, random_standard_map)
 
 
 def test_validate_multiplicity_one_catches_non_injective():
@@ -37,6 +37,133 @@ def test_validate_multiplicity_one_catches_partial_block():
     b = la.full_matrix_algebra(2)
     with pytest.raises(BlockPartial):
         la.validate_multiplicity_one({1: 1}, a, b)
+
+
+def reference_multiplicity_one(iota, source, target, phases=None):
+    """validate_multiplicity_one as a scan of every source edge, in sorted
+    order, and of every class as a set; returns (iota, weights)."""
+    imap, seen = {}, {}
+    for i, j in iota.items():
+        if not 1 <= i <= source.n:
+            raise ValueError(f"source index {i} out of range")
+        if not 1 <= j <= target.n:
+            raise ValueError(f"target index {j} out of range")
+        if j in seen:
+            raise NotInjective(seen[j], i, j)
+        seen[j] = i
+        imap[i] = j
+    for i, j in sorted(source.edges):
+        if i in imap and j in imap and (imap[i], imap[j]) not in target.edges:
+            raise EdgeIncompatible(i, j)
+    for cls in source.cstar_classes:
+        hit = set(imap) & set(cls)
+        if hit and hit != set(cls):
+            raise BlockPartial(cls)
+    if phases is None:
+        return imap, None
+    w = {i: complex(phases.get(i, 1.0)) for i in imap}
+    for i, lam in w.items():
+        if abs(abs(lam) - 1.0) > 1e-12:
+            raise ValueError(f"phase at {i} is not unimodular")
+    return imap, w
+
+
+def _build_outcome(build):
+    try:
+        out = build()
+    except (ValueError, LimitalgError) as e:
+        return type(e).__name__, getattr(e, "data", str(e))
+    if isinstance(out, tuple):
+        return "ok", out
+    return "ok", (out.iota, out._weight)
+
+
+def _random_index_map(rng, kind):
+    """(iota, source, target, phases) of the given kind: a valid map, or
+    one that breaks an edge, covers a class partially, repeats a target
+    index or leaves the range."""
+    source = random_algebra(rng, n_max=7)
+    m = int(rng.integers(1, 3))
+    target = la.direct_sum_algebra(la.tensor_model(source, m),
+                                   random_algebra(rng, n_max=6))
+    perm = random_block_permutation(rng, target)
+    c = int(rng.integers(1, m + 1))
+    keep = [k for k in range(len(source.cstar_classes)) if rng.random() < 0.7]
+    iota = {i: perm[(i - 1) * m + c - 1]
+            for k in keep for i in source.cstar_classes[k]}
+    if not iota:
+        iota = {i: perm[(i - 1) * m + c - 1]
+                for i in source.cstar_classes[0]}
+    dom = sorted(iota)
+    if kind == "edge":
+        # move some images to random target indices and shuffle them over
+        # the domain, so that none, one or many edges fail; a collision
+        # falls back to a random injective map
+        free = rng.permutation(np.arange(1, target.n + 1))
+        for i in dom:
+            if rng.random() < 0.6:
+                iota[i] = int(free[i - 1])
+        iota = dict(zip(dom, rng.permutation(list(iota.values())).tolist()))
+        if len(set(iota.values())) < len(iota):
+            iota = {i: int(free[k]) for k, i in enumerate(dom)}
+    elif kind == "partial":
+        del iota[dom[int(rng.integers(len(dom)))]]
+    elif kind == "injective" and len(dom) > 1:
+        a, b = rng.choice(dom, size=2, replace=False)
+        iota[int(b)] = iota[int(a)]
+    elif kind == "range":
+        if rng.random() < 0.5:
+            iota[source.n + int(rng.integers(0, 3))] = target.n + 5
+        else:
+            iota[dom[-1]] = target.n + int(rng.integers(1, 3))
+    phases = None
+    if rng.random() < 0.5:
+        phases = {i: EXACT_PHASES[rng.integers(0, 4)] for i in iota}
+        if rng.random() < 0.1:
+            phases[dom[0]] = 1.5
+    return iota, source, target, phases
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9),
+       st.sampled_from(["valid", "edge", "partial", "injective", "range"]))
+def test_block_validation_matches_per_edge_scan(seed, kind):
+    iota, source, target, phases = _random_index_map(
+        np.random.default_rng(seed), kind)
+    got = _build_outcome(lambda: la.validate_multiplicity_one(
+        iota, source, target, phases=phases))
+    want = _build_outcome(lambda: reference_multiplicity_one(
+        iota, source, target, phases=phases))
+    assert got == want
+
+
+def test_edge_incompatible_names_the_least_failing_pair():
+    # every edge among the three bands fails; (1, 2) is the least
+    a = la.tr_algebra(3)
+    with pytest.raises(EdgeIncompatible) as err:
+        la.validate_multiplicity_one({1: 3, 2: 2, 3: 1}, a, a)
+    assert err.value.data == {"i": 1, "j": 2}
+
+
+def test_index_map_is_built_once():
+    s = la.refinement_summand(2, 2, 3, 2)
+    assert s.index_map() is s.index_map()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10**9))
+def test_canonical_summands_match_per_class_restrictions(seed):
+    rng = np.random.default_rng(seed)
+    phi = random_standard_map(rng, pad=int(rng.integers(0, 2)))
+    if rng.random() < 0.5:
+        phi = la.compose(random_standard_map(rng, source=phi.target), phi)
+    parts = [s.restrict_to_class(c).normalized() for s in phi.summands
+             for c in s.covered_classes()]
+    parts.sort(key=lambda p: (min(p.domain()), p.index_map().sort_key(),
+                              min(p.image())))
+    got = phi.canonical_summands()
+    assert ([(p.iota, p._weight) for p in got]
+            == [(p.iota, p._weight) for p in parts])
 
 
 def test_assemble_rejects_overlapping_images():

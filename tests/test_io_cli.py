@@ -2,6 +2,7 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -446,6 +447,17 @@ def test_cli_subprocess_entry(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert len(doc["summands"]) == 2
+
+
+def test_package_runs_as_a_module(tmp_path, monkeypatch, capsys):
+    ws = write_json(tmp_path / "ws.json",
+                    iolib.encode_workspace(tower_workspace()))
+    monkeypatch.setattr(sys, "argv", ["limitalg", "validate", ws])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("limitalg", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out == iolib.canonical_dumps(
+        run_command("validate", [ws])[1])
 
 
 def _write_raw(path, doc):
