@@ -3,8 +3,10 @@
 Exit codes: 0 for success or a positive verdict, 1 for a negative verdict,
 2 for input or usage problems, 3 when an internal self-check fails (a bug
 in limitalg, not bad input); 2 and 3 both print an error payload.
-LIMITALG_TOL overrides the default 1e-9 tolerance; --output additionally
-writes the report to a file. Reports are canonical JSON on standard output,
+LIMITALG_TOL replaces the default map tolerance 1e-9 when files are read,
+and certificates use max(map tolerance, LIMITALG_TOL); every other cut-off
+is a fixed constant of limitalg.tolerance. --output additionally writes
+the report to a file. Reports are canonical JSON on standard output,
 deterministic for fixed input.
 """
 
@@ -30,12 +32,10 @@ from .errors import (CensusMismatch, InconsistentRanks, InternalError,
                      LimitalgError, NotInnerEquivalent, NotRegular,
                      ResidualTooLarge, TooFarApart, TriangleNotCommuting,
                      UsageError)
-from .homs import DEFAULT_TOL, StandardRegularMap, Unitary, to_numeric
+from .homs import StandardRegularMap, Unitary, to_numeric
 from .intertwine import approx_intertwine, exact_intertwine
 from .spectrum import compare_relations, cylinder_relation
-
-_VERBS = ("validate", "decompose", "conjugacy", "standardize", "intertwine",
-          "detect", "regular-test", "spectrum", "dimmod")
+from .tolerance import DEFAULT_TOL
 
 _VERDICT_ERRORS = (NotInnerEquivalent, NotRegular, CensusMismatch,
                    TooFarApart, TriangleNotCommuting, ResidualTooLarge,
@@ -129,7 +129,7 @@ def _cmd_decompose(ns, tol: float):
         "summands": iolib.encode_standard_map(phi)["summands"],
         "class_multiset": [[list(p) for p in key]
                            for key in phi.class_multiset()],
-        "rank_matrix": [list(r) for r in phi.rank_matrix().entries],
+        "rank_matrix": phi.rank_matrix().as_lists(),
         "cycle_flagged_classes": list(cycle_flagged_classes(phi.source)),
         "tolerance": tol,
     }

@@ -17,9 +17,10 @@ from .detect import is_regular
 from .errors import (InternalError, NotInnerEquivalent, NotRegular,
                      ProfileMismatch, SourceTargetMismatch,
                      TriangleNotCommuting)
-from .homs import (DEFAULT_TOL, NumericStarMap, StandardRegularMap, Unitary,
-                   compose, conjugate_standard, map_distance,
-                   numeric_compose, same_action, strictify, to_numeric)
+from .homs import (NumericStarMap, StandardRegularMap, Unitary, compose,
+                   conjugate_standard, map_distance, numeric_compose,
+                   same_action, strictify, to_numeric)
+from .tolerance import map_tolerance
 
 
 def _coerce_projections(family: Sequence, a: DigraphAlgebra) -> list:
@@ -186,7 +187,7 @@ def restandardize_triangle(theta: StandardRegularMap,
     if isinstance(phi2, NumericStarMap):
         resid = map_distance(numeric_compose(phi2, to_numeric(phi1)),
                              to_numeric(theta))
-        if resid > max(phi2.tolerance, DEFAULT_TOL):
+        if resid > map_tolerance(phi2):
             raise TriangleNotCommuting(resid)
         cert = is_regular(phi2)
         if not cert.regular:

@@ -33,8 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotInjective, NotOrthogonal, NotReflexive, NotTransitive
-
-Edge = tuple[int, int]
+from .tolerance import EXACT_SLACK
 
 
 @dataclass(frozen=True)
@@ -43,9 +42,6 @@ class Digraph:
 
     n: int
     edges: frozenset
-
-    def has(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges
 
 
 def _check_relation(n: int, edges: frozenset) -> None:
@@ -93,15 +89,22 @@ class DigraphAlgebra:
         self._mask = None
         self._units = None
         n, edges = graph.n, graph.edges
+        adj = [set() for _ in range(n + 1)]
+        for (i, j) in edges:
+            if i != j:
+                adj[i].add(j)
+                adj[j].add(i)
 
-        # blocks: mutual-edge classes, ordered by least element
+        # blocks: mutual-edge classes, ordered by least element; the least
+        # index not yet placed leads its block, whose other members are its
+        # later neighbours joined to it both ways (linear in the edges)
         seen = [False] * (n + 1)
         blocks = []
         for i in range(1, n + 1):
             if seen[i]:
                 continue
-            cls = [j for j in range(i, n + 1)
-                   if (i, j) in edges and (j, i) in edges]
+            cls = sorted([i] + [j for j in adj[i] if j > i
+                                and (i, j) in edges and (j, i) in edges])
             for j in cls:
                 seen[j] = True
             blocks.append(tuple(cls))
@@ -114,11 +117,6 @@ class DigraphAlgebra:
         self._block_of = block_of
 
         # cstar classes: undirected components, each with its BFS tree
-        adj = [set() for _ in range(n + 1)]
-        for (i, j) in edges:
-            if i != j:
-                adj[i].add(j)
-                adj[j].add(i)
         seen2 = set()
         classes = []
         trees = []
@@ -183,11 +181,6 @@ class DigraphAlgebra:
         """Indices other than i joined to i by an edge either way,
         ascending; they all lie in the cstar class of i."""
         return self._neighbours[i]
-
-    def unit(self, i: int, j: int) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=complex)
-        m[i - 1, j - 1] = 1.0
-        return m
 
     def support_mask(self) -> np.ndarray:
         """Read-only boolean n x n mask, True exactly on edge positions;
@@ -353,7 +346,7 @@ class StandardPartialIsometry:
             ph = {}
             for i in self._map:
                 lam = complex(phases.get(i, 1.0) if keyed else phases[i])
-                if abs(abs(lam) - 1.0) > 1e-12:
+                if abs(abs(lam) - 1.0) > EXACT_SLACK:
                     raise ValueError(f"phase at {i} is not unimodular")
                 ph[i] = lam
             self._phase = ph
@@ -414,11 +407,11 @@ class StandardPartialIsometry:
         if not isinstance(other, StandardPartialIsometry):
             return NotImplemented
         return (self.algebra == other.algebra and self._map == other._map
-                and all(abs(self._phase[i] - other._phase[i]) <= 1e-12
+                and all(abs(self._phase[i] - other._phase[i]) <= EXACT_SLACK
                         for i in self._map))
 
     def __repr__(self) -> str:
-        trivial = all(abs(v - 1.0) <= 1e-12 for v in self._phase.values())
+        trivial = all(abs(v - 1.0) <= EXACT_SLACK for v in self._phase.values())
         tag = "" if trivial else ", phased"
         return f"StandardPartialIsometry({len(self._map)} pairs{tag})"
 
@@ -478,14 +471,6 @@ class RankMatrix:
     """Nonnegative integer matrix indexed by (block r, projection j)."""
 
     entries: tuple  # rows = blocks, cols = projections
-
-    @property
-    def shape(self) -> tuple:
-        rows = len(self.entries)
-        return (rows, len(self.entries[0]) if rows else 0)
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
 
     def as_lists(self) -> list:
         return [list(row) for row in self.entries]

@@ -21,17 +21,17 @@ from .core import DigraphAlgebra
 from .errors import (CapacityExceeded, CensusMismatch, InconsistentRanks,
                      InternalError, NotRegular, SourceTargetMismatch,
                      TooFarApart)
-from .homs import (DEFAULT_TOL, IndexMap, MultiplicityOneMap, NumericStarMap,
+from .homs import (IndexMap, MultiplicityOneMap, NumericStarMap,
                    StandardRegularMap, Unitary, assemble_regular,
                    conjugate_numeric, map_distance, to_numeric,
                    validate_multiplicity_one)
+from .tolerance import ROUNDING_MARGIN, SV_CUT, map_tolerance
 
 _CENSUS_CAP = 10 ** 6
 
-# the 1/2 singular-value cut of _norm_and_rank, less a relative margin far
-# above the rounding of the computed norms, so pruning never drops a block
-# map whose computed singular values would pass the cut
-_PRUNE_CUT = 0.5 * (1 - 1e-9)
+# the singular-value cut of _norm_and_rank, less the rounding margin, so
+# pruning never drops a block map whose computed singular values would pass
+_PRUNE_CUT = SV_CUT * ROUNDING_MARGIN
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,12 @@ def _allowed_targets(phi: NumericStarMap, word: TestWord) -> dict:
 
     Target t stays for source block r when, for every token k whose right
     index lies in r, ||m_k[:, T_t]||_F prod_{i != k} ||m_i||_F exceeds
-    _PRUNE_CUT.
+    _PRUNE_CUT. Dropping t is sound: for such a k the interleaved product
+    has ||.||_2 <= ||m_k E_t||_2 prod_{i != k} ||m_i||_2 <= that bound, so
+    no singular value passes SV_CUT and the block map would score rank 0.
+    The rank matrix is not used to prune: it rounds block traces to
+    integers, which bounds the test products only for maps validated at
+    small tolerances.
     """
     bi = phi.source.block_index
     mats = [_token_matrix(phi, tok) for tok in word.tokens]
@@ -166,7 +171,7 @@ def _norm_and_rank(m: np.ndarray) -> tuple:
         return 0.0, 0
     sv = np.linalg.svd(m, compute_uv=False)
     norm = float(sv[0]) if len(sv) else 0.0
-    return norm, int(np.count_nonzero(sv > 0.5))
+    return norm, int(np.count_nonzero(sv > SV_CUT))
 
 
 @dataclass(frozen=True)
@@ -186,8 +191,9 @@ def test_product(phi: NumericStarMap, alpha: MultiplicityOneMap
     """Detect copies of alpha inside phi, component by component.
 
     Runs the word of every class alpha covers against alpha's block map.
-    present means every covered class shows norm at least 1/2; the rank
-    column counts matching summands (exact for regular phi).
+    The rank column counts singular values above SV_CUT, the matching
+    summands (exact for regular phi); present means rank >= 1 on every
+    covered class, so it agrees with the census.
     """
     if alpha.source != phi.source or alpha.target != phi.target:
         raise SourceTargetMismatch(
@@ -202,8 +208,8 @@ def test_product(phi: NumericStarMap, alpha: MultiplicityOneMap
         rows.append((c, norm, rank))
     if not rows:
         raise ValueError("alpha covers no class")
-    worst = min(r[1] for r in rows)
-    return TestProductResult(worst, worst >= 0.5, tuple(rows))
+    return TestProductResult(min(r[1] for r in rows),
+                             all(r[2] > 0 for r in rows), tuple(rows))
 
 
 @dataclass
@@ -245,13 +251,7 @@ def _class_candidates(src: DigraphAlgebra, tgt: DigraphAlgebra, c: int,
 
     Source block r is only tried on the targets allowed[r] (see
     _allowed_targets), so a pruned block map is never enumerated, and
-    CapacityExceeded counts only block maps that survive the bound. The
-    bound is sound: for each token k the interleaved product has
-    ||.||_2 <= ||m_k E_t||_2 prod_{i != k} ||m_i||_2
-    <= ||m_k[:, T_t]||_F prod_{i != k} ||m_i||_F, and _norm_and_rank counts
-    singular values > 1/2, so every pruned block map would score rank 0.
-    The rank matrix is not used to prune: its rounding is only sound at
-    small tolerances.
+    CapacityExceeded counts only block maps that survive the bound.
     """
     rs = src.class_blocks(c)
     src_sizes = src.block_sizes()
@@ -295,17 +295,10 @@ def summand_census(phi: NumericStarMap) -> SummandCensus:
     rank(E_r phi(e_jj) E_r) >= explained part, blockwise. A negative
     leftover anywhere raises InconsistentRanks.
 
-    Cost scales with the block maps that survive a norm bound, not with all
-    edge-preserving ones: target t is dropped for source block r when
-    ||m_k[:, T_t]||_F prod_{i != k} ||m_i||_F <= 1/2 for a token k of the
-    word with right index in r. For each such k the interleaved product has
-    ||.||_2 <= ||m_k E_t||_2 prod_{i != k} ||m_i||_2 <= that bound, so no
-    singular value passes the 1/2 cut of _norm_and_rank and the dropped
-    block map would have scored rank 0: found, residual_rank, total_rank
-    and InconsistentRanks are unchanged on every input, at every tolerance.
-    The rank matrix is not used to prune: it rounds block traces to
-    integers, which bounds the test products only for maps validated at
-    small tolerances.
+    Cost scales with the block maps that survive the norm bound of
+    _allowed_targets, not with all edge-preserving ones. A pruned block
+    map would have scored rank 0, so found, residual_rank, total_rank and
+    InconsistentRanks are unchanged on every input, at every tolerance.
     """
     src, tgt = phi.source, phi.target
     ranks = phi.rank_matrix().entries
@@ -475,7 +468,7 @@ def is_regular(phi: NumericStarMap,
     product), sum_C |C| pairs of n x n products, and one SVD per target
     block.
     """
-    tol = max(phi.tolerance, DEFAULT_TOL) if tol is None else float(tol)
+    tol = map_tolerance(phi) if tol is None else float(tol)
     try:
         census = summand_census(phi)
     except InconsistentRanks as exc:

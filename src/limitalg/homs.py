@@ -28,15 +28,11 @@ from .core import (DigraphAlgebra, RankMatrix, StandardPartialIsometry,
 from .errors import (BlockPartial, CapacityExceeded, EdgeIncompatible,
                      ImageOverlap, NotInjective, NotInRange, NotMultiplicative,
                      NotStarConsistent, ShapeMismatch, SourceTargetMismatch)
-
-DEFAULT_TOL = 1e-9
+from .tolerance import DEFAULT_TOL, DENSE_FLOOR, EXACT_SLACK, ROUNDING_MARGIN
 
 # full multiplicativity sweeps are quadratic in envelope units; above this
 # many pairs validation raises CapacityExceeded
 _SWEEP_CAP = 250_000
-
-_EXACT_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
-
 
 def operator_norm(m: np.ndarray) -> float:
     if m.size == 0:
@@ -116,7 +112,7 @@ class MultiplicityOneMap:
     @property
     def weighted(self) -> bool:
         return self._weight is not None and any(
-            abs(v - 1.0) > 1e-12 for v in self._weight.values())
+            abs(v - 1.0) > EXACT_SLACK for v in self._weight.values())
 
     def covered_classes(self) -> tuple:
         cls = {self.source.class_index(i) for i in self._iota}
@@ -147,7 +143,7 @@ class MultiplicityOneMap:
         root = min(self._iota)
         w0 = self._weight[root]
         w = {i: self._weight[i] / w0 for i in self._iota}
-        if all(abs(v - 1.0) <= 1e-12 for v in w.values()):
+        if all(abs(v - 1.0) <= EXACT_SLACK for v in w.values()):
             w = None
         out = MultiplicityOneMap(self.source, self.target, self._iota, w)
         out._index_map = self._index_map
@@ -224,7 +220,7 @@ def validate_multiplicity_one(iota, source: DigraphAlgebra,
         w = {}
         for i in imap:
             lam = complex(phases.get(i, 1.0))
-            if abs(abs(lam) - 1.0) > 1e-12:
+            if abs(abs(lam) - 1.0) > EXACT_SLACK:
                 raise ValueError(f"phase at {i} is not unimodular")
             w[i] = lam
     return MultiplicityOneMap(source, target, imap, w)
@@ -263,14 +259,11 @@ class StandardRegularMap:
         return RankMatrix(tuple(map(tuple, rows)))
 
     def canonical_summands(self) -> tuple:
-        """Maximal decomposition, normalized and deterministically ordered."""
+        """Maximal decomposition, normalized, in decompose_maximal's order
+        (normalizing keeps the domain, the image and the index map)."""
         if self._canonical is None:
-            parts = decompose_maximal(self)
-            self._canonical = tuple(sorted(
-                (p.normalized() for p in parts),
-                key=lambda p: (min(p.domain()) if p.domain() else 0,
-                               p.index_map().sort_key(),
-                               min(p.image()) if p.image() else 0)))
+            self._canonical = tuple(
+                p.normalized() for p in decompose_maximal(self))
         return self._canonical
 
     def class_multiset(self) -> tuple:
@@ -385,7 +378,7 @@ def same_action(phi: StandardRegularMap, psi: StandardRegularMap) -> bool:
         if p._iota != q._iota:
             return False
         for i in p.domain():
-            if abs(p.weight(i) - q.weight(i)) > 1e-12:
+            if abs(p.weight(i) - q.weight(i)) > EXACT_SLACK:
                 return False
     return True
 
@@ -551,10 +544,10 @@ def _residual_over(x: np.ndarray, tol: float) -> Optional[float]:
     """operator_norm(x) when it exceeds tol, else None.
 
     ||x||_2 <= ||x||_F, so a Frobenius norm within tol passes without an
-    SVD. The relative margin of 1e-9 is far above the rounding of either
-    computed norm, so the prefilter never passes what the SVD would reject.
+    SVD; ROUNDING_MARGIN keeps the prefilter from passing what the SVD
+    would reject.
     """
-    if np.linalg.norm(x) <= tol * (1 - 1e-9):
+    if np.linalg.norm(x) <= tol * ROUNDING_MARGIN:
         return None
     res = operator_norm(x)
     return res if res > tol else None
@@ -628,7 +621,7 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
     for p, e in enumerate(edges):
         stack[p] = work[e]
     given = stack[:len(edges)]
-    cut = tol * (1 - 1e-9)
+    cut = tol * ROUNDING_MARGIN
 
     star = [(i, j) for (i, j) in edges if (j, i) in work and i <= j]
     a = [row[j, i] for i, j in star]
@@ -733,7 +726,7 @@ def _sweep_products(source: DigraphAlgebra, stack: np.ndarray, blocks: list,
                     t - (a0, b0, 0), sb)
     eps = np.finfo(float).eps
     norms = np.sqrt(_frob2(stack))[li]
-    cut = tol * (1 - 1e-9) - 8 * stack.shape[1] * eps * np.outer(norms, norms)
+    cut = tol * ROUNDING_MARGIN - 8 * stack.shape[1] * eps * np.outer(norms, norms)
     for p, q in _flagged(sq, cut):
         (i, j), (k, l) = srt[p], srt[q]
         prod = stack[li[p]] @ stack[li[q]]
@@ -764,7 +757,7 @@ def to_numeric(phi) -> NumericStarMap:
 
     A numeric map is returned unchanged. The images come straight off a
     validated standard map, so no multiplicativity sweep runs; a strict
-    map gets tolerance 0, a weighted one 1e-12.
+    map gets tolerance 0, a weighted one DENSE_FLOOR.
     """
     if isinstance(phi, NumericStarMap):
         return phi
@@ -777,7 +770,7 @@ def to_numeric(phi) -> NumericStarMap:
             if i in dom and j in dom:
                 stack[p, s(i) - 1, s(j) - 1] += s.unit_coeff(i, j)
     return NumericStarMap(phi.source, phi.target, stack,
-                          0.0 if phi.is_strict else 1e-12)
+                          0.0 if phi.is_strict else DENSE_FLOOR)
 
 
 def numeric_compose(phi: NumericStarMap, psi: NumericStarMap) -> NumericStarMap:
@@ -792,17 +785,17 @@ def numeric_compose(phi: NumericStarMap, psi: NumericStarMap) -> NumericStarMap:
     ab = np.array(list(phi.images)) - 1
     stack = np.tensordot(psi.stack[:, ab[:, 0], ab[:, 1]], phi.stack, axes=1)
     tol = phi.tolerance + psi.tolerance
-    return NumericStarMap(psi.source, phi.target, stack, max(tol, 1e-12))
+    return NumericStarMap(psi.source, phi.target, stack, max(tol, DENSE_FLOOR))
 
 
 def conjugate_numeric(u: np.ndarray, phi: NumericStarMap) -> NumericStarMap:
     """Ad(u) after phi for a unitary matrix over the target space.
 
-    The dense products round, so the tolerance is floored at 1e-12 even for
-    an exact source, as in numeric_compose.
+    The dense products round, so the tolerance is floored at DENSE_FLOOR
+    even for an exact source, as in numeric_compose.
     """
     return NumericStarMap(phi.source, phi.target, u @ phi.stack @ u.conj().T,
-                          max(phi.tolerance, 1e-12))
+                          max(phi.tolerance, DENSE_FLOOR))
 
 
 def map_distance(f, g) -> float:

@@ -25,6 +25,7 @@ from .homs import (StandardRegularMap, Unitary, apply_to_unitary, compose,
                    conjugate_standard, map_distance, numeric_compose,
                    operator_norm, same_action, strictify, to_numeric)
 from .conjugacy import restandardize_triangle, standard_witness
+from .tolerance import DENSE_FLOOR, map_tolerance
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ class CorrectedDiagram:
 def _masa_flag(m, role: str, stage: int) -> dict:
     if isinstance(m, StandardRegularMap):
         return {"role": role, "stage": stage, "preserved": True}
-    tol = max(m.tolerance, 1e-9)
+    tol = map_tolerance(m)
     for i in range(1, m.source.n + 1):
         img = m.unit_image(i, i)
         off = img - np.diag(np.diag(img))
@@ -196,7 +197,7 @@ def _report(d: CrossoverDiagram, residuals: list) -> DiagramReport:
         total += r
     flags = ([_masa_flag(a, "alpha", k) for k, a in enumerate(d.alphas)]
              + [_masa_flag(b, "beta", k) for k, b in enumerate(d.betas)])
-    exact = all(r <= 1e-12 for r in residuals)
+    exact = all(r <= DENSE_FLOOR for r in residuals)
     return DiagramReport(tuple(rows), tuple(flags), total, exact)
 
 

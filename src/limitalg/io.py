@@ -9,6 +9,7 @@ byte-identically. Complex scalars travel as [re, im]; integers stay exact.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,10 +21,11 @@ from .core import (DigraphAlgebra, build_digraph_algebra, diagonal_algebra,
                    direct_sum_algebra, full_matrix_algebra, tensor_model,
                    tr_algebra)
 from .errors import DanglingReference, SchemaError, UsageError
-from .homs import (DEFAULT_TOL, NumericStarMap, StandardPartialIsometry,
+from .homs import (NumericStarMap, StandardPartialIsometry,
                    StandardRegularMap, Unitary, assemble_regular,
                    validate_multiplicity_one, validate_numeric)
 from .intertwine import CrossoverDiagram, DirectSystem
+from .tolerance import DEFAULT_TOL
 
 
 # nesting deeper than this goes to json.dumps, so recursion limits hit
@@ -160,14 +162,24 @@ def _pair(doc, pointer: str) -> tuple:
     return (_as_int(row[0], pointer + "/0"), _as_int(row[1], pointer + "/1"))
 
 
+def _by_name(parse):
+    """parse, where a str doc is instead the name of an entry of the
+    registry (its third argument), and DanglingReference if there is none."""
+    @functools.wraps(parse)
+    def parse_or_look_up(doc, pointer: str, registry=None, *args, **kwargs):
+        if isinstance(doc, str):
+            if registry is None or doc not in registry:
+                raise DanglingReference(doc)
+            return registry[doc]
+        return parse(doc, pointer, registry, *args, **kwargs)
+    return parse_or_look_up
+
+
 # algebras
 
+@_by_name
 def parse_algebra(doc, pointer: str, registry=None) -> DigraphAlgebra:
     """Named reference, explicit n/edges form, or one of the sugar forms."""
-    if isinstance(doc, str):
-        if registry is None or doc not in registry:
-            raise DanglingReference(doc)
-        return registry[doc]
     d = _as_dict(doc, pointer)
     if "n" in d:
         n = _as_int(d["n"], pointer + "/n")
@@ -283,13 +295,10 @@ def parse_numeric_map(doc, pointer: str, algebras=None,
     return validate_numeric(images, source, target, tol=tol)
 
 
+@_by_name
 def parse_map(doc, pointer: str, registry=None, algebras=None,
               default_tol: float = DEFAULT_TOL):
     """Dispatch on declared type, else on which payload key is present."""
-    if isinstance(doc, str):
-        if registry is None or doc not in registry:
-            raise DanglingReference(doc)
-        return registry[doc]
     d = _as_dict(doc, pointer)
     kind = d.get("type")
     if kind == "standard" or (kind is None and "summands" in d):
@@ -306,8 +315,8 @@ def _encode_weight_rows(s) -> list:
 
 def encode_standard_map(phi: StandardRegularMap, algebras=None) -> dict:
     out = {"type": "standard",
-           "source": _algebra_ref(phi.source, algebras),
-           "target": _algebra_ref(phi.target, algebras),
+           "source": _ref(phi.source, algebras, encode_algebra),
+           "target": _ref(phi.target, algebras, encode_algebra),
            "summands": []}
     for s in phi.canonical_summands():
         row = {"pairs": [[i, s(i)] for i in sorted(s.domain())]}
@@ -322,8 +331,8 @@ def encode_numeric_map(phi: NumericStarMap, algebras=None) -> dict:
     rows = [{"i": i, "j": j, "matrix": m}
             for (i, j), m in zip(phi.images, _encode_matrices(phi.stack))]
     return {"type": "numeric",
-            "source": _algebra_ref(phi.source, algebras),
-            "target": _algebra_ref(phi.target, algebras),
+            "source": _ref(phi.source, algebras, encode_algebra),
+            "target": _ref(phi.target, algebras, encode_algebra),
             "tolerance": phi.tolerance, "images": rows}
 
 
@@ -348,12 +357,9 @@ def encode_unitary(u: Unitary) -> dict:
 
 # systems and diagrams
 
+@_by_name
 def parse_system(doc, pointer: str, registry=None, algebras=None,
                  maps=None) -> DirectSystem:
-    if isinstance(doc, str):
-        if registry is None or doc not in registry:
-            raise DanglingReference(doc)
-        return registry[doc]
     d = _as_dict(doc, pointer)
     stage_rows = _as_list(d.get("stages"), pointer + "/stages")
     stages = [parse_algebra(r, f"{pointer}/stages/{k}", algebras)
@@ -368,19 +374,16 @@ def parse_system(doc, pointer: str, registry=None, algebras=None,
 
 
 def encode_system(sys: DirectSystem, algebras=None, maps=None) -> dict:
-    return {"stages": [_algebra_ref(a, algebras) for a in sys.stages],
-            "connectors": [_map_ref(c, maps, algebras)
+    return {"stages": [_ref(a, algebras, encode_algebra) for a in sys.stages],
+            "connectors": [_ref(c, maps, encode_map, algebras)
                            for c in sys.connectors],
             "periodic": sys.periodic}
 
 
+@_by_name
 def parse_diagram(doc, pointer: str, registry=None, algebras=None, maps=None,
                   systems=None, default_tol: float = DEFAULT_TOL
                   ) -> CrossoverDiagram:
-    if isinstance(doc, str):
-        if registry is None or doc not in registry:
-            raise DanglingReference(doc)
-        return registry[doc]
     d = _as_dict(doc, pointer)
     top = parse_system(d.get("top"), pointer + "/top", systems, algebras, maps)
     bottom = parse_system(d.get("bottom"), pointer + "/bottom", systems,
@@ -410,40 +413,23 @@ def parse_diagram(doc, pointer: str, registry=None, algebras=None, maps=None,
 
 def encode_diagram(d: CrossoverDiagram, algebras=None, maps=None,
                    systems=None) -> dict:
-    out = {"top": _system_ref(d.top, systems, algebras, maps),
-           "bottom": _system_ref(d.bottom, systems, algebras, maps),
-           "alphas": [_map_ref(a, maps, algebras) for a in d.alphas],
-           "betas": [_map_ref(b, maps, algebras) for b in d.betas],
+    out = {"top": _ref(d.top, systems, encode_system, algebras, maps),
+           "bottom": _ref(d.bottom, systems, encode_system, algebras, maps),
+           "alphas": [_ref(a, maps, encode_map, algebras) for a in d.alphas],
+           "betas": [_ref(b, maps, encode_map, algebras) for b in d.betas],
            "mode": d.mode}
     if d.budgets:
         out["budgets"] = {k: list(v) for k, v in d.budgets.items()}
     return out
 
 
-# named-reference helpers: prefer a registry name, else inline-expand
-
-def _algebra_ref(a, algebras):
-    if algebras:
-        for name in sorted(algebras):
-            if algebras[name] == a:
+def _ref(obj, registry, encode, *args):
+    """The least name registry gives obj, else encode(obj, *args) inline."""
+    if registry:
+        for name in sorted(registry):
+            if registry[name] is obj:
                 return name
-    return encode_algebra(a)
-
-
-def _map_ref(m, maps, algebras):
-    if maps:
-        for name in sorted(maps):
-            if maps[name] is m:
-                return name
-    return encode_map(m, algebras)
-
-
-def _system_ref(s, systems, algebras, maps):
-    if systems:
-        for name in sorted(systems):
-            if systems[name] is s:
-                return name
-    return encode_system(s, algebras, maps)
+    return encode(obj, *args)
 
 
 # workspace

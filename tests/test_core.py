@@ -135,6 +135,25 @@ def test_blocks_partition_and_reduced_consistency(seed):
         assert len(cls) == 1
 
 
+def quadratic_blocks(a):
+    """Blocks as a scan of every pair (i, j), j >= i, finds them."""
+    seen, blocks = set(), []
+    for i in range(1, a.n + 1):
+        if i not in seen:
+            blk = tuple(j for j in range(i, a.n + 1)
+                        if a.has_edge(i, j) and a.has_edge(j, i))
+            seen.update(blk)
+            blocks.append(blk)
+    return tuple(blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([0.1, 0.3, 0.6]))
+def test_blocks_match_the_quadratic_scan(seed, bias):
+    a = random_algebra(np.random.default_rng(seed), n_max=9, edge_bias=bias)
+    assert a.blocks == quadratic_blocks(a)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_bimodule_support_mask_idempotent(seed):

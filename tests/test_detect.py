@@ -66,6 +66,29 @@ def rotated_specimen_angle(t):
     return la.validate_numeric(images, src, tgt)
 
 
+def dft_specimen():
+    """Three copies of T3 in tr_algebra(9) that no block-diagonal unitary
+    makes standard.
+
+    Copy c sends 1 -> c and 2 -> 3 + c, and sends 3 to the unit vector
+    (e_7 + w^c e_8 + w^2c e_9) / sqrt(3), w = exp(2 pi i / 3). The three
+    vectors are orthonormal, so the map is star-extendible, and each has
+    weight 1/3 on every band, so each test product has singular value 1/3,
+    a sixth below the 1/2 cut whatever the rounding.
+    """
+    src, tgt = la.tr_algebra(3), la.tr_algebra(9)
+    w = np.exp(2j * np.pi / 3)
+    frames = []
+    for c in range(1, 4):
+        f = np.zeros((9, 3), dtype=complex)
+        f[c - 1, 0] = f[c + 2, 1] = 1.0
+        f[6:, 2] = w ** (c * np.arange(3)) / np.sqrt(3)
+        frames.append(f)
+    images = {(i, j): sum(np.outer(f[:, i - 1], f[:, j - 1].conj())
+                          for f in frames) for (i, j) in src.edges}
+    return la.validate_numeric(images, src, tgt)
+
+
 def test_word_golden_t3():
     a = la.tr_algebra(3)
     w = la.test_word(a, 0)
@@ -373,6 +396,27 @@ def test_rotated_specimen_not_regular():
     assert cert.residual_rank == 6
     assert cert.standard_form is None
     assert "unexplained" in cert.reason
+
+
+def test_dft_specimen_not_regular():
+    """Unexplained image rank with every test-product singular value at
+    1/3; the rotated specimen reaches it only by the rounding of 1/sqrt(2)."""
+    phi = dft_specimen()
+    for c in range(1, 4):
+        for d in range(7, 10):
+            alpha = la.validate_multiplicity_one({1: c, 2: 3 + c, 3: d},
+                                                 phi.source, phi.target)
+            res = la.test_product(phi, alpha)
+            assert res.norm == pytest.approx(1 / 3)
+            assert res.present is False
+    census = la.summand_census(phi)
+    assert census.multiset() == ()
+    assert census.residual_rank == census.total_rank == 9
+    cert = la.is_regular(phi)
+    assert not cert.regular
+    assert cert.residual_rank == 9
+    assert cert.standard_form is None
+    assert cert.reason == "unexplained image rank"
 
 
 def test_rotated_specimen_band_norms():

@@ -133,6 +133,24 @@ def test_dangling_references():
             '{"systems": {"s": {"stages": ["ghost"], "connectors": []}}}')
     with pytest.raises(DanglingReference):
         iolib.parse_map("ghost", "", registry={})
+    # a dangling name of each kind: algebra, map, system and diagram
+    ws = iolib.encode_workspace(tower_workspace())
+    for at in (("maps", "alpha0", "source"),
+               ("systems", "top", "connectors", 0),
+               ("diagrams", "demo", "top"), ("diagrams", "demo")):
+        doc = json.loads(json.dumps(ws))
+        *path, key = at
+        row = doc
+        for p in path:
+            row = row[p]
+        row[key] = "ghost"
+        with pytest.raises(DanglingReference) as err:
+            iolib.parse_workspace(doc)
+        assert err.value.data == {"name": "ghost"}
+    for parse in (iolib.parse_algebra, iolib.parse_map, iolib.parse_system,
+                  iolib.parse_diagram):
+        with pytest.raises(DanglingReference):
+            parse("ghost", "")
 
 
 def test_load_object_selection(tmp_path):
@@ -283,6 +301,15 @@ def test_cli_regular_test(tmp_path):
     assert code == 1
     assert report["regular"] is False
     assert report["residual_rank"] == 6
+
+    from test_detect import dft_specimen
+    dft = write_json(tmp_path / "dft.json", iolib.encode_map(dft_specimen()))
+    code, report = run_command("regular-test", ["--map", dft])
+    assert code == 1
+    assert report["regular"] is False
+    assert report["residual_rank"] == 9
+    assert report["reason"] == "unexplained image rank"
+    assert report["class_multiset"] == []
 
 
 def test_cli_spectrum(tmp_path):
