@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .core import (DigraphAlgebra, PermutationUnitary,
                    StandardPartialIsometry, StandardProjection, projection,
                    rank_profile)
@@ -17,9 +19,10 @@ from .detect import is_regular
 from .errors import (InternalError, NotInnerEquivalent, NotRegular,
                      ProfileMismatch, SourceTargetMismatch,
                      TriangleNotCommuting)
-from .homs import (NumericStarMap, StandardRegularMap, Unitary, compose,
-                   conjugate_standard, map_distance, numeric_compose,
-                   same_action, strictify, to_numeric)
+from .homs import (NumericStarMap, StandardRegularMap, Unitary,
+                   canonical_pairing, compose, conjugate_standard,
+                   map_distance, monomial, numeric_compose, same_action,
+                   strictify, to_numeric)
 from .tolerance import map_tolerance
 
 
@@ -106,15 +109,12 @@ def standard_witness(phi1: StandardRegularMap, phi2: StandardRegularMap,
     if phi1.source != phi2.source or phi1.target != phi2.target:
         raise SourceTargetMismatch("witness needs matching source and target")
     a2 = phi1.target
-    parts1 = phi1.canonical_summands()
-    parts2 = phi2.canonical_summands()
-    key1 = [p.index_map().sort_key() for p in parts1]
-    key2 = [p.index_map().sort_key() for p in parts2]
-    if sorted(key1) != sorted(key2):
+    key1, key2 = phi1.class_multiset(), phi2.class_multiset()
+    if key1 != key2:
         raise NotInnerEquivalent(
             reason="class multisets differ",
-            lhs=[list(map(list, k)) for k in sorted(key1)],
-            rhs=[list(map(list, k)) for k in sorted(key2)])
+            lhs=[list(map(list, k)) for k in key1],
+            rhs=[list(map(list, k)) for k in key2])
 
     if u is not None:
         base = u.as_partial_isometry() if isinstance(u, PermutationUnitary) else u
@@ -122,30 +122,16 @@ def standard_witness(phi1: StandardRegularMap, phi2: StandardRegularMap,
         corr = _diagonal_correction(moved, phi2, a2)
         return corr @ base
 
-    # group matched summands by index map; canonical order fixes the pairing
-    by_key1 = {}
-    by_key2 = {}
-    for p in parts1:
-        by_key1.setdefault(p.index_map().sort_key(), []).append(p)
-    for q in parts2:
-        by_key2.setdefault(q.index_map().sort_key(), []).append(q)
-    pairs = {}
-    phases = {}
-    for key, group1 in sorted(by_key1.items()):
-        group2 = by_key2[key]
-        for p, q in zip(group1, group2):
-            for x in sorted(p.domain()):
-                s, t = p(x), q(x)
-                pairs[s] = t
-                phases[s] = q.weight(x) / p.weight(x)
-    # complete blockwise, smallest to smallest, phase one
-    for blk in a2.blocks:
-        left_src = sorted(i for i in blk if i not in pairs)
-        left_dst = sorted(set(blk) - {pairs[i] for i in blk if i in pairs})
-        for x, y in zip(left_src, left_dst):
-            pairs[x] = y
-            phases[x] = 1.0 + 0.0j
-    v = StandardPartialIsometry(a2, pairs, phases)
+    # equal multisets give the pieces of one index map the same canonical
+    # places in both maps, so the canonical rows pair up in order; the
+    # indices left over go blockwise, smallest to smallest, phase one
+    at, to, phase = canonical_pairing(phi1, phi2)
+    idx = np.array([i for blk in a2.blocks for i in blk])
+    free_at, free_to = np.ones((2, a2.n + 1), dtype=bool)
+    free_at[at] = free_to[to] = False
+    v = monomial(a2, np.concatenate((at, idx[free_at[idx]])),
+                 np.concatenate((to, idx[free_to[idx]])),
+                 np.concatenate((phase, np.ones(a2.n - len(at)))))
     if not same_action(conjugate_standard(phi1, v), phi2):
         raise InternalError("witness construction failed to verify")
     return v
@@ -154,18 +140,10 @@ def standard_witness(phi1: StandardRegularMap, phi2: StandardRegularMap,
 def _diagonal_correction(moved: StandardRegularMap, target_map: StandardRegularMap,
                          a2: DigraphAlgebra) -> StandardPartialIsometry:
     """Diagonal d with Ad(d) moved = target_map, when the index data agree."""
-    parts_m = moved.canonical_summands()
-    parts_t = target_map.canonical_summands()
-    phases = {t: 1.0 + 0.0j for t in range(1, a2.n + 1)}
-    if len(parts_m) != len(parts_t):
+    pairing = canonical_pairing(moved, target_map)
+    if pairing is None or not np.array_equal(pairing[0], pairing[1]):
         raise NotInnerEquivalent(reason="evidence does not align the summands")
-    for p, q in zip(parts_m, parts_t):
-        if p._iota != q._iota:
-            raise NotInnerEquivalent(reason="evidence does not align the summands")
-        for x in p.domain():
-            phases[p(x)] = q.weight(x) / p.weight(x)
-    d = StandardPartialIsometry(
-        a2, {t: t for t in range(1, a2.n + 1)}, phases)
+    d = monomial(a2, pairing[0], pairing[0], pairing[2])
     if not same_action(conjugate_standard(moved, d), target_map):
         raise NotInnerEquivalent(reason="evidence admits no phase correction")
     return d

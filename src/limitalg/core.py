@@ -22,7 +22,6 @@ Indices are 1-based throughout; all containers are immutable after build.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import weakref
 from collections.abc import Iterable, Mapping, Sequence
@@ -231,7 +230,12 @@ def build_digraph_algebra(n: int, edges: Iterable) -> DigraphAlgebra:
     witness in scan order. While an algebra on the same relation is alive,
     that same instance is returned.
     """
-    eset = frozenset((int(i), int(j)) for (i, j) in edges)
+    return _interned(n, frozenset((int(i), int(j)) for (i, j) in edges))
+
+
+def _interned(n: int, eset: frozenset) -> DigraphAlgebra:
+    """build_digraph_algebra on edges already given as a frozenset of int
+    pairs, so a caller that has checked its rows converts them only once."""
     key = (n, eset)
     a = _INTERNED.get(key)
     if a is None:
@@ -522,29 +526,38 @@ def cycle_flagged_classes(a: DigraphAlgebra) -> tuple:
     On such classes phase data of witnesses is not forced by triangle
     relations alone; reports surface the flag as metadata. The triangular
     algebras are never flagged, the 4-cycle digraph is.
+
+    Each triangle x < y < z is found once, from its edge (x, y) and the
+    common neighbours z > y of x and y; the edges are taken in sorted
+    order and z ascending, so the triangles come in lexicographic order.
     """
-    red = a.reduced
+    und = sorted({(min(r, s), max(r, s)) for (r, s) in a.reduced.edges
+                  if r != s})
+    nbr = [set() for _ in a.blocks]
+    for r, s in und:
+        nbr[r].add(s)
+        nbr[s].add(r)
+    verts = [0] * len(a.cstar_classes)
+    for r in range(len(a.blocks)):
+        verts[a.class_of_block(r)] += 1
+    by_class = [[] for _ in a.cstar_classes]
+    for e in und:
+        by_class[a.class_of_block(e[0])].append(e)
     flagged = []
-    for c, _cls in enumerate(a.cstar_classes):
-        verts = a.class_blocks(c)
-        vset = set(verts)
-        und = sorted({(min(r, s), max(r, s)) for (r, s) in red.edges
-                      if r != s and r in vset and s in vset})
-        if not und:
+    for c, edges in enumerate(by_class):
+        cycle_dim = len(edges) - verts[c] + 1
+        if not edges or cycle_dim <= 0:
             continue
-        cycle_dim = len(und) - len(verts) + 1
-        if cycle_dim <= 0:
-            continue
-        pos = {e: k for k, e in enumerate(und)}
+        pos = {e: k for k, e in enumerate(edges)}
         tri_rows = []
-        for (x, y, z) in itertools.combinations(sorted(verts), 3):
-            e1, e2, e3 = (x, y), (y, z), (x, z)
-            if e1 in pos and e2 in pos and e3 in pos:
-                row = [0] * len(und)
-                row[pos[e1]] += 1
-                row[pos[e2]] += 1
-                row[pos[e3]] -= 1
-                tri_rows.append(row)
+        for (x, y) in edges:
+            for z in sorted(nbr[x] & nbr[y]):
+                if z > y:
+                    row = [0] * len(edges)
+                    row[pos[(x, y)]] += 1
+                    row[pos[(y, z)]] += 1
+                    row[pos[(x, z)]] -= 1
+                    tri_rows.append(row)
         if rational_rank(tri_rows) < cycle_dim:
             flagged.append(c)
     return tuple(flagged)

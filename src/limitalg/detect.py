@@ -22,9 +22,8 @@ from .errors import (CapacityExceeded, CensusMismatch, InconsistentRanks,
                      InternalError, NotRegular, SourceTargetMismatch,
                      TooFarApart)
 from .homs import (IndexMap, MultiplicityOneMap, NumericStarMap,
-                   StandardRegularMap, Unitary, assemble_regular,
-                   conjugate_numeric, map_distance, to_numeric,
-                   validate_multiplicity_one)
+                   StandardRegularMap, Unitary, conjugate_numeric,
+                   map_distance, to_numeric)
 from .tolerance import ROUNDING_MARGIN, SV_CUT, map_tolerance
 
 _CENSUS_CAP = 10 ** 6
@@ -344,26 +343,25 @@ def standard_census(phi: StandardRegularMap) -> SummandCensus:
 def _canonical_from_census(census: SummandCensus, src: DigraphAlgebra,
                            tgt: DigraphAlgebra) -> StandardRegularMap:
     """Standard regular map realizing the census, smallest free slots first."""
-    free = {t: sorted(tgt.blocks[t]) for t in range(len(tgt.blocks))}
+    taken = [0] * len(tgt.blocks)
     entries = sorted(census.classes.items(),
                      key=lambda kv: (src.class_of_block(kv[0].pairs[0][0]),
                                      kv[0].sort_key()))
-    pieces = []
-    for im, mult in entries:
-        bmap = dict(im.pairs)
-        for _ in range(mult):
-            iota = {}
-            for r in sorted(bmap):
-                blk = src.blocks[r]
-                slots = free[bmap[r]][:len(blk)]
-                if len(slots) < len(blk):
-                    raise InternalError(
-                        "rank accounting admitted an infeasible census")
-                del free[bmap[r]][:len(blk)]
-                for i, s in zip(blk, slots):
-                    iota[i] = s
-            pieces.append(validate_multiplicity_one(iota, src, tgt))
-    return assemble_regular(pieces, source=src, target=tgt)
+    rows, slots, piece = [], [], []
+    copies = (im for im, mult in entries for _ in range(mult))
+    for k, im in enumerate(copies):
+        for r, t in im.pairs:
+            blk = src.blocks[r]
+            got = tgt.blocks[t][taken[t]:taken[t] + len(blk)]
+            if len(got) < len(blk):
+                raise InternalError(
+                    "rank accounting admitted an infeasible census")
+            taken[t] += len(blk)
+            rows += blk
+            slots += got
+            piece += [k] * len(blk)
+    return StandardRegularMap(src, tgt, np.array(rows, dtype=np.int64),
+                              np.array(slots, dtype=np.int64), piece)
 
 
 def _census_intertwiner(phi: NumericStarMap, census: SummandCensus,
@@ -408,15 +406,18 @@ def _census_intertwiner(phi: NumericStarMap, census: SummandCensus,
        residual rejects it.
     """
     src, n = phi.source, phi.target.n
+    # psi's summands are its canonical pieces, copies of one class in
+    # the order of their slots; each one's root slot is its first row's
     slots = {}
-    for s in psi.summands:
-        slots.setdefault(s.index_map(), []).append(s(min(s.domain())) - 1)
+    can = psi.canonical()
+    for key, t in zip(psi.class_multiset(), can.tgt[can.bounds()[:-1]]):
+        slots.setdefault(key, []).append(int(t) - 1)
     z = np.zeros((n, n), dtype=complex)
     for im, mult in census.classes.items():
         word = test_word(src, src.class_of_block(im.pairs[0][0]))
         f = np.linalg.svd(_product_for_blocks(phi, word, dict(im.pairs)),
                           full_matrices=False)[0]
-        z[slots[im]] = f[:, :mult].conj().T
+        z[slots[im.pairs]] = f[:, :mult].conj().T
     x = np.zeros((n, n), dtype=complex)
     for cls in src.cstar_classes:
         r = cls[0]

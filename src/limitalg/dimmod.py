@@ -17,7 +17,7 @@ from .core import rational_rank
 from .errors import (BandMismatch, CapacityExceeded, DepthUnavailable,
                      DimensionMismatch, InternalError, NotTrBand,
                      ShapeMismatch, UsageError)
-from .homs import StandardRegularMap, decompose_maximal
+from .homs import StandardRegularMap
 from .intertwine import DirectSystem
 
 MONOTONE_LIMIT = 8
@@ -385,14 +385,13 @@ def class_of_map(phi: StandardRegularMap) -> ModuleMapMatrix:
             tgt_pos[blk] = (c, q + 1)
     entries = [[semiring_zero(r) for _ in range(src_shape.width)]
                for _ in range(tgt_shape.width)]
-    for piece in decompose_maximal(phi):
-        dom = sorted(piece.domain())
-        b = src.class_index(dom[0])
-        c = tgt_pos[tgt.block_index(piece(dom[0]))][0]
+    for key in phi.class_multiset():
+        tau = dict(key)
+        b = src.class_of_block(key[0][0])
+        c = tgt_pos[key[0][1]][0]
         values = []
-        for p, blk in enumerate(src_shape.summands[b].blocks):
-            i = src.blocks[blk][0]
-            cc, q = tgt_pos[tgt.block_index(piece(i))]
+        for blk in src_shape.summands[b].blocks:
+            cc, q = tgt_pos[tau[blk]]
             if cc != c:
                 raise InternalError("summand image straddles target classes")
             values.append(q)

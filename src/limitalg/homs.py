@@ -1,10 +1,11 @@
 """Star-extendible homomorphisms between digraph algebras.
 
-Two representations are used. The combinatorial one (MultiplicityOneMap,
-StandardRegularMap) stores index embeddings plus optional unimodular weights
-per summand; its arithmetic is exact. The numeric one (NumericStarMap) stores
-dense matrix-unit images and is validated against the star-extendibility
-identities within a tolerance.
+Two representations are used. The combinatorial one (StandardRegularMap)
+is one read-only index table: row k sends source index src[k] to target
+index tgt[k] inside summand piece[k], with an optional unimodular weight;
+its arithmetic is exact, and MultiplicityOneMap is a view of one summand.
+The numeric one (NumericStarMap) stores dense matrix-unit images and is
+validated against the star-extendibility identities within a tolerance.
 
 A weighted summand with weights w acts on e_ij as w(i) * conj(w(j)) times the
 image unit, so conjugating a standard map by a monomial unitary lands back in
@@ -15,6 +16,7 @@ forms; a map is "strict" standard when all weights are trivial.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -71,208 +73,295 @@ class IndexMap:
         return [[a, b] for a, b in self.pairs]
 
 
-class MultiplicityOneMap:
-    """An injective partial index embedding iota with optional weights.
+# exact arithmetic on the table
 
-    Construct through validate_multiplicity_one, which checks injectivity,
-    edge compatibility, and per-class totality (the star-extendibility
-    condition at multiplicity one). The map never changes after that, so
-    its index map is built once, on first use.
+def _exact(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """op entrywise on Python complex numbers, so that every weight and
+    phase has the bits of a loop over them (NumPy's complex loops fuse
+    and reorder operations)."""
+    return op(a.astype(object), b.astype(object)).astype(complex)
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges start[k], ..., start[k] + count[k] - 1, concatenated."""
+    end = count.cumsum()
+    return (np.arange(end[-1] if len(end) else 0)
+            + (start - end + count).repeat(count))
+
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
+def _checked(source: DigraphAlgebra, target: DigraphAlgebra,
+             src: np.ndarray, tgt: np.ndarray, piece: np.ndarray,
+             weight: Optional[np.ndarray]) -> tuple:
+    """The rows of a standard map, checked, sorted by (piece, src).
+
+    One pass over the rows raises the first broken invariant, summand by
+    summand in order, each at its first witness: range, injectivity and
+    one row per source index, row by row as given; edges; the least class
+    met and not covered; the first weight that is not unimodular. Then it
+    names the first summand whose image meets an earlier one, at the
+    least such index. Edges are decided on blocks, as the edge set is the
+    blow-up of the reduced one: a summand preserves edges exactly when it
+    sends each source block r into one target block tau(r), and each
+    reduced edge (r, q) it meets to a reduced edge (tau(r), tau(q)). Only
+    on failure are the sorted source edges scanned, so that
+    EdgeIncompatible names the least failing pair.
     """
+    s, t = src.tolist(), tgt.tolist()
+    w = None if weight is None else weight.tolist()
+    rows = {}
+    for k, p in enumerate(piece.tolist()):
+        rows.setdefault(p, []).append(k)
+    sb, tb, sc = source.block_index, target.block_index, source.class_index
+    for p in sorted(rows):
+        imap, seen, tau, hits, ok = {}, {}, {}, {}, True
+        for k in rows[p]:
+            i, j = s[k], t[k]
+            if not 1 <= i <= source.n:
+                raise ValueError(f"source index {i} out of range")
+            if not 1 <= j <= target.n:
+                raise ValueError(f"target index {j} out of range")
+            if j in seen:
+                raise NotInjective(seen[j], i, j)
+            if i in imap:
+                raise ValueError(f"source index {i} listed twice")
+            seen[j], imap[i] = i, j
+            r, c = tb(j), sc(i)
+            ok = tau.setdefault(sb(i), r) == r and ok
+            hits[c] = hits.get(c, 0) + 1
+        if not (ok and all((tau[r], tau[q]) in target.reduced.edges
+                           for r, q in source.reduced.edges
+                           if r in tau and q in tau)):
+            raise EdgeIncompatible(*next(
+                (i, j) for i, j in sorted(source.edges)
+                if i in imap and j in imap
+                and (imap[i], imap[j]) not in target.edges))
+        for c in sorted(hits):
+            if hits[c] != len(source.cstar_classes[c]):
+                raise BlockPartial(source.cstar_classes[c])
+        for k in rows[p] if w is not None else ():
+            if abs(abs(w[k]) - 1.0) > EXACT_SLACK:
+                raise ValueError(f"phase at {s[k]} is not unimodular")
+    if len(set(t)) < len(t):
+        owner = {}
+        for p, j in sorted(zip(piece.tolist(), t)):
+            if owner.setdefault(j, p) != p:
+                raise ImageOverlap(
+                    f"summands {owner[j]} and {p} both use target index {j}",
+                    s=owner[j], s2=p, index=j)
+    src, tgt = src.astype(np.int64), tgt.astype(np.int64)
+    key = piece * (source.n + 1) + src
+    if np.count_nonzero(key[1:] < key[:-1]):
+        o = key.argsort(kind="stable")
+        src, tgt, piece = src[o], tgt[o], piece[o]
+        weight = None if weight is None else weight[o]
+    return src, tgt, piece, weight
 
-    __slots__ = ("source", "target", "_iota", "_weight", "_index_map")
+
+class MultiplicityOneMap:
+    """One summand of a standard map as a view of its rows, sorted by
+    source index: an injective partial index embedding iota with optional
+    unimodular weights, read out as Python int and complex."""
+
+    __slots__ = ("source", "target", "_src", "_tgt", "_w", "_row",
+                 "_index_map")
 
     def __init__(self, source: DigraphAlgebra, target: DigraphAlgebra,
-                 iota: dict, weight: Optional[dict]):
-        self.source = source
-        self.target = target
-        self._iota = dict(sorted(iota.items()))
-        self._weight = None if weight is None else {
-            i: complex(weight[i]) for i in self._iota}
-        self._index_map = None
+                 src: np.ndarray, tgt: np.ndarray, w: Optional[np.ndarray]):
+        self.source, self.target = source, target
+        self._src, self._tgt, self._w = src, tgt, w
+        self._row = self._index_map = None
 
     @property
     def iota(self) -> dict:
-        return dict(self._iota)
+        return dict(zip(self._src.tolist(), self._tgt.tolist()))
 
     def domain(self) -> frozenset:
-        return frozenset(self._iota)
+        return frozenset(self._src.tolist())
 
-    def image(self) -> frozenset:
-        return frozenset(self._iota.values())
+    def _at(self, i: int) -> int:
+        """The row of source index i, by a table built on first use."""
+        if self._row is None:
+            self._row = {j: k for k, j in enumerate(self._src.tolist())}
+        return self._row[i]
 
     def __call__(self, i: int) -> int:
-        return self._iota[i]
+        return int(self._tgt[self._at(i)])
 
     def weight(self, i: int) -> complex:
-        if self._weight is None:
+        if self._w is None:
             return 1.0 + 0.0j
-        return self._weight[i]
+        return complex(self._w[self._at(i)])
 
     @property
     def weighted(self) -> bool:
-        return self._weight is not None and any(
-            abs(v - 1.0) > EXACT_SLACK for v in self._weight.values())
+        return self._w is not None and bool(
+            (np.abs(self._w - 1.0) > EXACT_SLACK).any())
 
     def covered_classes(self) -> tuple:
-        cls = {self.source.class_index(i) for i in self._iota}
-        return tuple(sorted(cls))
+        return tuple(sorted({self.source.class_index(i)
+                             for i in self._src.tolist()}))
 
     def index_map(self) -> IndexMap:
         if self._index_map is None:
-            pairs = {}
-            for i, j in self._iota.items():
-                pairs[self.source.block_index(i)] = self.target.block_index(j)
-            self._index_map = IndexMap(tuple(pairs.items()))
+            sb, tb = self.source.block_index, self.target.block_index
+            self._index_map = IndexMap(tuple({
+                sb(i): tb(j) for i, j in zip(self._src.tolist(),
+                                             self._tgt.tolist())}.items()))
         return self._index_map
-
-    def restrict_to_class(self, c: int) -> "MultiplicityOneMap":
-        keep = {i: j for i, j in self._iota.items()
-                if self.source.class_index(i) == c}
-        w = None if self._weight is None else {i: self._weight[i] for i in keep}
-        return MultiplicityOneMap(self.source, self.target, keep, w)
-
-    def normalized(self) -> "MultiplicityOneMap":
-        """Divide weights by the weight at the least covered index.
-
-        The action on matrix units only sees weight ratios, so this is the
-        canonical representative used for comparisons.
-        """
-        if self._weight is None or not self._iota:
-            return self
-        root = min(self._iota)
-        w0 = self._weight[root]
-        w = {i: self._weight[i] / w0 for i in self._iota}
-        if all(abs(v - 1.0) <= EXACT_SLACK for v in w.values()):
-            w = None
-        out = MultiplicityOneMap(self.source, self.target, self._iota, w)
-        out._index_map = self._index_map
-        return out
-
-    def unit_coeff(self, i: int, j: int) -> complex:
-        return self.weight(i) * np.conj(self.weight(j))
 
     def __repr__(self) -> str:
         tag = ", weighted" if self.weighted else ""
-        return f"MultiplicityOneMap({len(self._iota)} indices{tag})"
+        return f"MultiplicityOneMap({len(self._src)} indices{tag})"
 
 
 def validate_multiplicity_one(iota, source: DigraphAlgebra,
                               target: DigraphAlgebra,
                               phases: Optional[Mapping] = None
                               ) -> MultiplicityOneMap:
-    """Check the three multiplicity-one invariants and build the map.
+    """Check the multiplicity-one invariants and build the map.
 
     iota may be a mapping or an iterable of (i, j) pairs. phases, when given,
-    assigns a unimodular weight to each domain index. The checks run in the
-    order range, injectivity, edges, partial classes, and each raises at its
-    first witness.
-
-    Edges are decided on blocks, in O(|dom| + |reduced edges|). Blocks are
-    complete, and by transitivity the edges between two blocks are all
-    present or all absent; so the edge set is the blow-up of the reduced
-    one. Hence iota preserves edges exactly when (a) it sends the covered
-    indices of each source block into a single target block tau(r), since
-    any two of them are joined both ways, and (b) for each reduced source
-    edge (r, q) between covered blocks, (tau(r), tau(q)) is a reduced target
-    edge. Only when this fails are the sorted source edges scanned, so that
-    EdgeIncompatible names the least failing pair. BlockPartial names the
-    least class that the domain meets but does not cover.
+    assigns a unimodular weight to each domain index (1 where it has none).
+    The pairs are checked in order as the rows of a one-summand table; an
+    index too large for int64 stays a Python int for the range check.
     """
     if not isinstance(iota, Mapping):
         iota = dict(iota)
-    sn, tn = source.n, target.n
-    imap = {}
-    seen_targets = {}
-    for i, j in iota.items():
-        i, j = int(i), int(j)
-        if not (1 <= i <= sn):
-            raise ValueError(f"source index {i} out of range")
-        if not (1 <= j <= tn):
-            raise ValueError(f"target index {j} out of range")
-        if j in seen_targets:
-            raise NotInjective(seen_targets[j], i, j)
-        seen_targets[j] = i
-        imap[i] = j
-    sb, tb, sc = source.block_index, target.block_index, source.class_index
-    tau = {}
-    hits = {}
-    ok = True
-    for i, j in imap.items():
-        b = tb(j)
-        if tau.setdefault(sb(i), b) != b:
-            ok = False
-        c = sc(i)
-        hits[c] = hits.get(c, 0) + 1
-    tred = target.reduced.edges
-    if not (ok and all((tau[r], tau[q]) in tred
-                       for r, q in source.reduced.edges
-                       if r in tau and q in tau)):
-        raise EdgeIncompatible(*next(
-            (i, j) for i, j in sorted(source.edges)
-            if i in imap and j in imap
-            and (imap[i], imap[j]) not in target.edges))
-    for c in sorted(hits):
-        if hits[c] != len(source.cstar_classes[c]):
-            raise BlockPartial(source.cstar_classes[c])
-    w = None
-    if phases is not None:
-        w = {}
-        for i in imap:
-            lam = complex(phases.get(i, 1.0))
-            if abs(abs(lam) - 1.0) > EXACT_SLACK:
-                raise ValueError(f"phase at {i} is not unimodular")
-            w[i] = lam
-    return MultiplicityOneMap(source, target, imap, w)
+    src, tgt = [int(i) for i in iota], [int(j) for j in iota.values()]
+    w = None if phases is None else np.array(
+        [complex(phases.get(i, 1.0)) for i in src], dtype=complex)
+    rows = _checked(source, target, np.array(src), np.array(tgt),
+                    np.zeros(len(src), dtype=np.int64), w)
+    for a in rows:
+        if a is not None:
+            a.setflags(write=False)
+    return MultiplicityOneMap(source, target, rows[0], rows[1], rows[3])
 
 
 class StandardRegularMap:
-    """Finite direct sum of multiplicity-one maps with disjoint images."""
+    """Finite direct sum of multiplicity-one maps with disjoint images, as
+    one read-only index table: row k sends src[k] to tgt[k] in summand
+    piece[k] with weight weight[k] (weight is None when no summand has
+    weights), sorted by (piece, src). pieces counts the summands, empty
+    ones included. The constructor checks the rows (_checked), so every
+    map, given or derived, is validated.
+    """
 
-    __slots__ = ("source", "target", "summands", "_canonical")
+    __slots__ = ("source", "target", "src", "tgt", "piece", "weight",
+                 "pieces", "_summands", "_canonical", "_keys")
 
-    def __init__(self, source, target, summands: tuple):
-        self.source = source
-        self.target = target
-        self.summands = tuple(summands)
-        self._canonical = None
+    def __init__(self, source: DigraphAlgebra, target: DigraphAlgebra,
+                 src: np.ndarray, tgt: np.ndarray, piece: np.ndarray,
+                 weight: Optional[np.ndarray] = None,
+                 pieces: Optional[int] = None):
+        src, tgt, piece, weight = _checked(
+            source, target, src, tgt, np.asarray(piece, dtype=np.int64), weight)
+        self._fill(source, target, src, tgt, piece, weight,
+                   int(piece.max(initial=-1)) + 1 if pieces is None else pieces)
+
+    def _fill(self, source, target, src, tgt, piece, weight, pieces) -> None:
+        for a in (src, tgt, piece, weight):
+            if a is not None:
+                a.setflags(write=False)
+        self.source, self.target = source, target
+        self.src, self.tgt, self.piece, self.weight = src, tgt, piece, weight
+        self.pieces = pieces
+        self._summands = self._canonical = self._keys = None
 
     @property
     def is_strict(self) -> bool:
-        return not any(s.weighted for s in self.summands)
+        return self.weight is None or not (
+            np.abs(self.weight - 1.0) > EXACT_SLACK).any()
 
-    def unit_image(self, i: int, j: int) -> tuple:
-        """Image of e_ij as ((a, b, coeff), ...) over contributing summands."""
-        out = []
-        for s in self.summands:
-            if i in s.domain() and j in s.domain():
-                out.append((s(i), s(j), s.unit_coeff(i, j)))
-        return tuple(out)
+    def bounds(self) -> list:
+        """Summand k is rows bounds()[k] to bounds()[k + 1]."""
+        return self.piece.searchsorted(np.arange(self.pieces + 1)).tolist()
+
+    @property
+    def summands(self) -> tuple:
+        if self._summands is None:
+            cut, w = self.bounds(), self.weight
+            self._summands = tuple(
+                MultiplicityOneMap(self.source, self.target, self.src[a:b],
+                                   self.tgt[a:b], None if w is None else w[a:b])
+                for a, b in zip(cut, cut[1:]))
+        return self._summands
 
     def rank_matrix(self) -> RankMatrix:
         """Entry (r, j): the summands that carry index j into block r."""
-        rows = [[0] * self.source.n for _ in self.target.blocks]
-        bi = self.target.block_index
-        for s in self.summands:
-            for i, j in s._iota.items():
-                rows[bi(j)][i - 1] += 1
-        return RankMatrix(tuple(map(tuple, rows)))
+        n = self.source.n
+        tb = np.array([self.target.block_index(j) for j in self.tgt.tolist()],
+                      dtype=np.int64)
+        counts = np.bincount(tb * n + self.src - 1,
+                             minlength=len(self.target.blocks) * n)
+        return RankMatrix(tuple(map(tuple, counts.reshape(-1, n).tolist())))
 
-    def canonical_summands(self) -> tuple:
-        """Maximal decomposition, normalized, in decompose_maximal's order
-        (normalizing keeps the domain, the image and the index map)."""
+    def canonical(self) -> "StandardRegularMap":
+        """The same map as its maximal pieces, normalized, in canonical order.
+
+        Summands split exactly along the cstar classes they cover (each is
+        connected, and edges never leave one), so the pieces are the
+        (summand, class) restrictions, sorted by (class, index map, least
+        image); an index map sorts as the target blocks of the least
+        indices of its class's blocks, in order. Weights are divided by the
+        piece's weight at its least index; a piece whose ratios are all
+        within EXACT_SLACK of 1 gets weight 1, and weight is None if all do.
+        Its rows are this map's, checked when it was built, reordered.
+        """
         if self._canonical is None:
-            self._canonical = tuple(
-                p.normalized() for p in decompose_maximal(self))
+            src, tgt = self.src.tolist(), self.tgt.tolist()
+            sb, tb = self.source.block_index, self.target.block_index
+            lead = self.source.blocks
+            groups = {}
+            for k, (p, i) in enumerate(zip(self.piece.tolist(), src)):
+                groups.setdefault((p, self.source.class_index(i)), []).append(k)
+            # each piece's index map pairs the blocks met, at their least
+            # indices, with their target blocks
+            keys = sorted((c, tuple((sb(src[k]), tb(tgt[k])) for k in ks
+                                    if lead[sb(src[k])][0] == src[k]),
+                           min(tgt[k] for k in ks), ks)
+                          for (_, c), ks in groups.items())
+            self._keys = tuple(key[1] for key in keys)
+            rows = [k for key in keys for k in key[3]]
+            w = None
+            if self.weight is not None:
+                ws, w = self.weight.tolist(), []
+                for key in keys:
+                    ratio = [ws[k] / ws[key[3][0]] for k in key[3]]
+                    if all(abs(x - 1.0) <= EXACT_SLACK for x in ratio):
+                        ratio = [1.0 + 0.0j] * len(ratio)
+                    w += ratio
+                w = None if all(x == 1 for x in w) else np.array(w)
+            canon = object.__new__(StandardRegularMap)
+            canon._fill(self.source, self.target, self.src[rows], self.tgt[rows],
+                        np.arange(len(keys)).repeat([len(k[3]) for k in keys]),
+                        w, len(keys))
+            self._canonical = canon
         return self._canonical
 
     def class_multiset(self) -> tuple:
-        return tuple(sorted(p.index_map().sort_key()
-                            for p in self.canonical_summands()))
+        """Index maps of the maximal pieces as block-pair tuples, sorted
+        (the canonical order sorts by them)."""
+        self.canonical()
+        return self._keys
 
     def __repr__(self) -> str:
         return (f"StandardRegularMap({self.source.n} -> {self.target.n}, "
-                f"{len(self.summands)} summands)")
+                f"{self.pieces} summands)")
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal entry for entry, for rows of one dtype."""
+    return a.tobytes() == b.tobytes()
+
+
+def _weights(phi: StandardRegularMap) -> np.ndarray:
+    """phi's weights, 1 on every row when it has none."""
+    return (np.ones(len(phi.src), dtype=complex) if phi.weight is None
+            else phi.weight)
 
 
 def assemble_regular(summands: Sequence[MultiplicityOneMap],
@@ -286,69 +375,60 @@ def assemble_regular(summands: Sequence[MultiplicityOneMap],
     if source is None or target is None:
         raise SourceTargetMismatch(
             "empty assembly requires explicit source and target")
-    used = {}
-    for k, s in enumerate(summands):
-        if s.source != source or s.target != target:
-            raise SourceTargetMismatch(f"summand {k} is over other algebras")
-        for j in s.image():
-            if j in used:
-                raise ImageOverlap(
-                    f"summands {used[j]} and {k} both use target index {j}",
-                    s=used[j], s2=k, index=j)
-            used[j] = k
-    return StandardRegularMap(source, target, summands)
+    # an overlap before the first summand over other algebras comes first
+    bad = next((k for k, s in enumerate(summands)
+                if s.source != source or s.target != target), len(summands))
+    parts = summands[:bad]
+    w = None if all(s._w is None for s in parts) else np.concatenate(
+        [np.ones(len(s._src), complex) if s._w is None else s._w
+         for s in parts])
+    phi = StandardRegularMap(
+        source, target, np.concatenate([_NO_ROWS] + [s._src for s in parts]),
+        np.concatenate([_NO_ROWS] + [s._tgt for s in parts]),
+        np.arange(bad).repeat([len(s._src) for s in parts]), w, bad)
+    if bad < len(summands):
+        raise SourceTargetMismatch(f"summand {bad} is over other algebras")
+    return phi
 
 
 def identity_map(a: DigraphAlgebra) -> StandardRegularMap:
-    return assemble_regular(
-        [validate_multiplicity_one({i: i for i in range(1, a.n + 1)}, a, a)])
+    idx = np.arange(1, a.n + 1)
+    return StandardRegularMap(a, a, idx, idx, 0 * idx)
 
 
 def zero_map(source: DigraphAlgebra, target: DigraphAlgebra) -> StandardRegularMap:
-    return assemble_regular([], source=source, target=target)
+    return StandardRegularMap(source, target, _NO_ROWS, _NO_ROWS, _NO_ROWS)
 
 
 def decompose_maximal(phi: StandardRegularMap) -> tuple:
-    """Finest decomposition into multiplicity-one summands.
-
-    Target indices iota(i), iota(j) are linked whenever (i, j) is a source
-    edge inside one summand, so a summand splits exactly along the cstar
-    classes it covers: each class is connected, and links never leave a
-    class. The per-(summand, class) restrictions are therefore the maximal
-    pieces; a summand that covers one class is its own restriction.
-    """
-    parts = []
-    for s in phi.summands:
-        covered = s.covered_classes()
-        if len(covered) == 1:
-            parts.append(s)
-            continue
-        for c in covered:
-            parts.append(s.restrict_to_class(c))
-    parts.sort(key=lambda p: (min(p.domain()), p.index_map().sort_key(),
-                              min(p.image())))
-    return tuple(parts)
+    """The maximal summands of phi, normalized, in canonical order."""
+    return phi.canonical().summands
 
 
 def compose(phi: StandardRegularMap, psi: StandardRegularMap
             ) -> StandardRegularMap:
-    """phi after psi. Requires target(psi) = source(phi)."""
+    """phi after psi: each row i -> x of psi meets the rows x -> y of phi
+    (by source, in summand order); the summands are the (phi, psi) summand
+    pairs that meet."""
     if phi.source != psi.target:
         raise SourceTargetMismatch(
             "compose needs target(psi) equal to source(phi)")
-    pieces = []
-    for s in phi.summands:
-        sdom = s.domain()
-        for t in psi.summands:
-            dom = {i: s(t(i)) for i in t.domain() if t(i) in sdom}
-            if not dom:
-                continue
-            w = None
-            if s._weight is not None or t._weight is not None:
-                w = {i: t.weight(i) * s.weight(t(i)) for i in dom}
-            pieces.append(validate_multiplicity_one(
-                dom, psi.source, phi.target, phases=w))
-    return assemble_regular(pieces, source=psi.source, target=phi.target)
+    total = np.bincount(phi.src, minlength=phi.source.n + 1)
+    count = total[psi.tgt]
+    right = phi.src.argsort(kind="stable")[
+        _ranges((total.cumsum() - total)[psi.tgt], count)]
+    left = np.arange(len(psi.src)).repeat(count)
+    # by summand pair, src ascending as the sort is stable
+    pair = phi.piece[right] * psi.pieces + psi.piece[left]
+    o = pair.argsort(kind="stable")
+    left, right, pair = left[o], right[o], pair[o]
+    piece = np.zeros(len(pair), dtype=np.int64)
+    piece[1:] = (pair[1:] != pair[:-1]).cumsum()
+    w = None
+    if phi.weight is not None or psi.weight is not None:
+        w = _exact(operator.mul, _weights(psi)[left], _weights(phi)[right])
+    return StandardRegularMap(psi.source, phi.target, psi.src[left],
+                              phi.tgt[right], piece, w)
 
 
 def direct_sum(phi: StandardRegularMap, psi: StandardRegularMap
@@ -357,30 +437,62 @@ def direct_sum(phi: StandardRegularMap, psi: StandardRegularMap
     target first."""
     if phi.source != psi.source:
         raise SourceTargetMismatch("direct sum needs a common source")
-    ambient = direct_sum_algebra(phi.target, psi.target)
-    pieces = []
-    for (o, m) in ((0, phi), (phi.target.n, psi)):
-        for s in m.summands:
-            w = None if s._weight is None else dict(s._weight)
-            pieces.append(validate_multiplicity_one(
-                {i: s(i) + o for i in s.domain()}, m.source, ambient, phases=w))
-    return assemble_regular(pieces, source=phi.source, target=ambient)
+    w = None
+    if phi.weight is not None or psi.weight is not None:
+        w = np.concatenate((_weights(phi), _weights(psi)))
+    return StandardRegularMap(
+        phi.source, direct_sum_algebra(phi.target, psi.target),
+        np.concatenate((phi.src, psi.src)),
+        np.concatenate((phi.tgt, psi.tgt + phi.target.n)),
+        np.concatenate((phi.piece, psi.piece + phi.pieces)), w,
+        phi.pieces + psi.pieces)
 
 
 def same_action(phi: StandardRegularMap, psi: StandardRegularMap) -> bool:
-    """Exact equality as maps, insensitive to summand bookkeeping."""
+    """Exact equality as maps: the same rows and weights, or else equal
+    canonical rows (the source column fixes where pieces end) with weights
+    within EXACT_SLACK."""
     if phi.source != psi.source or phi.target != psi.target:
         return False
-    a, b = phi.canonical_summands(), psi.canonical_summands()
-    if len(a) != len(b):
+    if (_same(phi.src, psi.src) and _same(phi.tgt, psi.tgt)
+            and _same(phi.piece, psi.piece)
+            and _same(_weights(phi), _weights(psi))):
+        return True
+    a, b = phi.canonical(), psi.canonical()
+    if not (_same(a.src, b.src) and _same(a.tgt, b.tgt)):
         return False
-    for p, q in zip(a, b):
-        if p._iota != q._iota:
-            return False
-        for i in p.domain():
-            if abs(p.weight(i) - q.weight(i)) > EXACT_SLACK:
-                return False
-    return True
+    return (a.weight is None and b.weight is None) or not (
+        np.abs(_weights(a) - _weights(b)) > EXACT_SLACK).any()
+
+
+def canonical_pairing(phi: StandardRegularMap,
+                      psi: StandardRegularMap) -> Optional[tuple]:
+    """The canonical rows of phi and psi paired in order, as (phi's target
+    indices, psi's, psi's weights over phi's); None unless both have the
+    same canonical source column."""
+    a, b = phi.canonical(), psi.canonical()
+    if not _same(a.src, b.src):
+        return None
+    return a.tgt, b.tgt, _exact(operator.truediv, _weights(b), _weights(a))
+
+
+def _monomial(v: StandardPartialIsometry) -> tuple:
+    """(perm, phase) of a total monomial: v sends i to perm[i] with phase
+    phase[i]."""
+    # pairs and phases both run over 1..n in order
+    return (np.array([0] + [j for _, j in v.pairs]),
+            np.array([1.0] + list(v.phases.values())))
+
+
+def monomial(a: DigraphAlgebra, at: np.ndarray, to: np.ndarray,
+             phase: np.ndarray) -> StandardPartialIsometry:
+    """The monomial over a sending at[k] to to[k] with phase[k], and every
+    other index to itself with phase 1."""
+    pairs, phases = np.arange(a.n + 1), np.ones(a.n + 1, dtype=complex)
+    pairs[at], phases[at] = to, phase
+    idx = range(1, a.n + 1)
+    return StandardPartialIsometry(a, dict(zip(idx, pairs[1:].tolist())),
+                                   dict(zip(idx, phases[1:].tolist())))
 
 
 def conjugate_standard(phi: StandardRegularMap,
@@ -390,13 +502,10 @@ def conjugate_standard(phi: StandardRegularMap,
         raise ValueError("conjugation needs a total monomial")
     if v.algebra.n != phi.target.n:
         raise ValueError("unitary is over the wrong algebra")
-    pieces = []
-    for s in phi.summands:
-        iota = {i: v(s(i)) for i in s.domain()}
-        w = {i: s.weight(i) * v.phase(s(i)) for i in s.domain()}
-        pieces.append(validate_multiplicity_one(
-            iota, phi.source, phi.target, phases=w))
-    return assemble_regular(pieces, source=phi.source, target=phi.target)
+    perm, phase = _monomial(v)
+    return StandardRegularMap(
+        phi.source, phi.target, phi.src, perm[phi.tgt], phi.piece,
+        _exact(operator.mul, _weights(phi), phase[phi.tgt]), phi.pieces)
 
 
 def apply_to_unitary(phi: StandardRegularMap,
@@ -412,23 +521,18 @@ def apply_to_unitary(phi: StandardRegularMap,
         raise ValueError("apply_to_unitary needs a total monomial")
     if v.algebra.n != phi.source.n:
         raise ValueError("unitary is over the wrong algebra")
-    ci = phi.source.class_index
-    pairs = {}
-    phases = {}
-    for s in phi.summands:
-        for i in s.domain():
-            j = v(i)
-            if ci(j) != ci(i):
-                raise ValueError("unitary does not preserve cstar classes")
-            # v carries e_j -> e_i directions: v = sum phase_i e_{v(i), i},
-            # so the (i -> v(i)) pair contributes unit e_{iota(v(i)), iota(i)}
-            pairs[s(i)] = s(j)
-            phases[s(i)] = v.phase(i) * s.weight(j) * np.conj(s.weight(i))
-    for t in range(1, phi.target.n + 1):
-        if t not in pairs:
-            pairs[t] = t
-            phases[t] = 1.0 + 0.0j
-    return StandardPartialIsometry(phi.target, pairs, phases)
+    perm, phase = _monomial(v)
+    cls = phi.source.class_index
+    if any(cls(i) != cls(j) for i, j in zip(phi.src.tolist(),
+                                            perm[phi.src].tolist())):
+        raise ValueError("unitary does not preserve cstar classes")
+    # v = sum phase_i e_{v(i), i}: the row of i gives the unit
+    # e_{iota(v(i)), iota(i)}, iota(v(i)) read in the summand of i
+    key = phi.piece * (phi.source.n + 1)
+    at = (key + phi.src).searchsorted(key + perm[phi.src])
+    w = _weights(phi)
+    return monomial(phi.target, phi.tgt, phi.tgt[at], _exact(
+        operator.mul, _exact(operator.mul, phase[phi.src], w[at]), w.conj()))
 
 
 def strictify(phi: StandardRegularMap) -> tuple:
@@ -437,17 +541,9 @@ def strictify(phi: StandardRegularMap) -> tuple:
     d is a diagonal monomial over the target with Ad(d) phi = strict map,
     exactly. Identity off the image.
     """
-    pairs = {t: t for t in range(1, phi.target.n + 1)}
-    phases = {t: 1.0 + 0.0j for t in pairs}
-    pieces = []
-    for s in phi.summands:
-        pieces.append(validate_multiplicity_one(
-            s.iota, phi.source, phi.target))
-        for i in s.domain():
-            phases[s(i)] = np.conj(s.weight(i))
-    d = StandardPartialIsometry(phi.target, pairs, phases)
-    strict = assemble_regular(pieces, source=phi.source, target=phi.target)
-    return strict, d
+    strict = StandardRegularMap(phi.source, phi.target, phi.src, phi.tgt,
+                                phi.piece, None, phi.pieces)
+    return strict, monomial(phi.target, phi.tgt, phi.tgt, _weights(phi).conj())
 
 
 # ---------------------------------------------------------------------------
@@ -757,18 +853,25 @@ def to_numeric(phi) -> NumericStarMap:
 
     A numeric map is returned unchanged. The images come straight off a
     validated standard map, so no multiplicativity sweep runs; a strict
-    map gets tolerance 0, a weighted one DENSE_FLOOR.
+    map gets tolerance 0, a weighted one DENSE_FLOOR. An edge (i, j) lies
+    in one class, which the same summands cover, so the k-th row at i and
+    the k-th row at j belong to one summand; one scatter writes them all.
     """
     if isinstance(phi, NumericStarMap):
         return phi
-    n2 = phi.target.n
-    edges = phi.source.envelope_units()[0][:len(phi.source.edges)]
-    stack = np.zeros((len(edges), n2, n2), dtype=complex)
-    for s in phi.summands:
-        dom = s.domain()
-        for p, (i, j) in enumerate(edges):
-            if i in dom and j in dom:
-                stack[p, s(i) - 1, s(j) - 1] += s.unit_coeff(i, j)
+    # the sorted edges, row-major, are the stack's rows in order
+    i, j = phi.source.support_mask().nonzero()
+    total = np.bincount(phi.src, minlength=phi.source.n + 1)
+    count, start = total[i + 1], total.cumsum() - total
+    order, at = phi.src.argsort(kind="stable"), _ranges(start[i + 1], count)
+    ri = order[at]
+    rj = order[at + (start[j + 1] - start[i + 1]).repeat(count)]
+    stack = np.zeros((len(i), phi.target.n, phi.target.n), dtype=complex)
+    # a strict map's coefficient is 1, as 1 times conj(1) is; adding 0.0,
+    # as to the zero entry a loop adds to, turns -0.0 parts into 0.0
+    stack[np.arange(len(i)).repeat(count), phi.tgt[ri] - 1,
+          phi.tgt[rj] - 1] = 1 if phi.weight is None else _exact(
+              operator.mul, phi.weight[ri], phi.weight[rj].conj()) + 0.0
     return NumericStarMap(phi.source, phi.target, stack,
                           0.0 if phi.is_strict else DENSE_FLOOR)
 

@@ -17,13 +17,12 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-from .core import (DigraphAlgebra, build_digraph_algebra, diagonal_algebra,
+from .core import (DigraphAlgebra, _interned, diagonal_algebra,
                    direct_sum_algebra, full_matrix_algebra, tensor_model,
                    tr_algebra)
-from .errors import DanglingReference, SchemaError, UsageError
+from .errors import DanglingReference, ImageOverlap, SchemaError, UsageError
 from .homs import (NumericStarMap, StandardPartialIsometry,
-                   StandardRegularMap, Unitary, assemble_regular,
-                   validate_multiplicity_one, validate_numeric)
+                   StandardRegularMap, Unitary, validate_numeric)
 from .intertwine import CrossoverDiagram, DirectSystem
 from .tolerance import DEFAULT_TOL
 
@@ -191,8 +190,10 @@ def parse_algebra(doc, pointer: str, registry=None) -> DigraphAlgebra:
             # the per-row check names the first bad row
             edges = {_pair(r, f"{pointer}/edges/{k}")
                      for k, r in enumerate(rows)}
+        # the rows are exact int pairs now, as the builder makes them, and
+        # inserted one by one as there, so a range error names the same edge
         edges |= {(i, i) for i in range(1, n + 1)}
-        return build_digraph_algebra(n, edges)
+        return _interned(n, frozenset(iter(edges)))
     if "tr" in d:
         t = _as_dict(d["tr"], pointer + "/tr")
         r = _as_int(t.get("r"), pointer + "/tr/r")
@@ -240,29 +241,56 @@ def _parse_weights(doc, pointer: str) -> dict:
     return out
 
 
+def _parse_summand(doc, at: str) -> tuple:
+    """(iota, weights or None) of one summand row."""
+    r = _as_dict(doc, at)
+    iota = {}
+    for q, p in enumerate(_as_list(r.get("pairs"), at + "/pairs")):
+        i, j = _pair(p, f"{at}/pairs/{q}")
+        if i in iota:
+            _fail(f"{at}/pairs/{q}", f"index {i} listed twice")
+        iota[i] = j
+    if "weights" not in r:
+        return iota, None
+    weights = _parse_weights(r["weights"], at + "/weights")
+    for q, i in enumerate(weights):
+        if i not in iota:
+            _fail(f"{at}/weights/{q}", f"index {i} is not in the summand's pairs")
+    return iota, weights
+
+
 def parse_standard_map(doc, pointer: str,
                        algebras=None) -> StandardRegularMap:
+    """One table of all summands, checked once. A summand row that breaks
+    the schema is reported after the summands before it are checked, each
+    summand on its own, as if each were checked as soon as it is read."""
     d = _as_dict(doc, pointer)
     source = parse_algebra(d.get("source"), pointer + "/source", algebras)
     target = parse_algebra(d.get("target"), pointer + "/target", algebras)
     rows = _as_list(d.get("summands"), pointer + "/summands")
-    summands = []
+    src, tgt, piece, w, weighted, late = [], [], [], [], False, None
     for k, row in enumerate(rows):
-        at = f"{pointer}/summands/{k}"
-        r = _as_dict(row, at)
-        pairs = _as_list(r.get("pairs"), at + "/pairs")
-        iota = {}
-        for q, p in enumerate(pairs):
-            i, j = _pair(p, f"{at}/pairs/{q}")
-            if i in iota:
-                _fail(f"{at}/pairs/{q}", f"index {i} listed twice")
-            iota[i] = j
-        weights = None
-        if "weights" in r:
-            weights = _parse_weights(r["weights"], at + "/weights")
-        summands.append(validate_multiplicity_one(iota, source, target,
-                                                  phases=weights))
-    return assemble_regular(summands, source=source, target=target)
+        try:
+            iota, weights = _parse_summand(row, f"{pointer}/summands/{k}")
+        except SchemaError:
+            late = k
+            break
+        src += iota
+        tgt += iota.values()
+        piece += [k] * len(iota)
+        w += [complex((weights or {}).get(i, 1.0)) for i in iota]
+        weighted = weighted or weights is not None
+    try:
+        phi = StandardRegularMap(
+            source, target, np.array(src), np.array(tgt), piece,
+            np.array(w, dtype=complex) if weighted else None,
+            len(rows) if late is None else late)
+    except ImageOverlap:
+        if late is None:
+            raise
+    if late is not None:
+        _parse_summand(rows[late], f"{pointer}/summands/{late}")
+    return phi
 
 
 def parse_numeric_map(doc, pointer: str, algebras=None,
@@ -309,21 +337,22 @@ def parse_map(doc, pointer: str, registry=None, algebras=None,
     _fail(pointer, "map needs type standard (summands) or numeric (images)")
 
 
-def _encode_weight_rows(s) -> list:
-    return [[i, encode_complex(s.weight(i))] for i in sorted(s.domain())]
-
-
 def encode_standard_map(phi: StandardRegularMap, algebras=None) -> dict:
-    out = {"type": "standard",
-           "source": _ref(phi.source, algebras, encode_algebra),
-           "target": _ref(phi.target, algebras, encode_algebra),
-           "summands": []}
-    for s in phi.canonical_summands():
-        row = {"pairs": [[i, s(i)] for i in sorted(s.domain())]}
-        if s.weighted:
-            row["weights"] = _encode_weight_rows(s)
-        out["summands"].append(row)
-    return out
+    """The canonical summands; weights only on a piece that has some other
+    than exactly 1, as the canonical form sets trivial pieces to 1."""
+    can = phi.canonical()
+    cut, src, tgt = can.bounds(), can.src.tolist(), can.tgt.tolist()
+    w = None if can.weight is None else can.weight.tolist()
+    rows = []
+    for a, b in zip(cut, cut[1:]):
+        rows.append({"pairs": [list(p) for p in zip(src[a:b], tgt[a:b])]})
+        if w is not None and any(x != 1 for x in w[a:b]):
+            rows[-1]["weights"] = [[i, encode_complex(x)]
+                                   for i, x in zip(src[a:b], w[a:b])]
+    return {"type": "standard",
+            "source": _ref(phi.source, algebras, encode_algebra),
+            "target": _ref(phi.target, algebras, encode_algebra),
+            "summands": rows}
 
 
 def encode_numeric_map(phi: NumericStarMap, algebras=None) -> dict:

@@ -50,10 +50,8 @@ def _summand_images(sys: DirectSystem, depth: int) -> list:
     tables = []
     for l in range(depth - 1):
         conn = sys.connector(l)
-        image = np.zeros((len(conn.summands), conn.source.n + 1), dtype=int)
-        for s, summand in enumerate(conn.summands):
-            for i, j in summand.iota.items():
-                image[s, i] = j
+        image = np.zeros((conn.pieces, conn.source.n + 1), dtype=int)
+        image[conn.piece, conn.src] = conn.tgt
         tables.append(image)
     return tables
 

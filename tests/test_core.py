@@ -1,10 +1,14 @@
 """Digraph algebra structure: blocks, classes, reduced digraph, projections."""
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import limitalg as la
+from limitalg import core
 from limitalg.core import rational_rank
 from limitalg.errors import (NotReflexive, NotTransitive, NotOrthogonal)
 
@@ -152,6 +156,43 @@ def quadratic_blocks(a):
 def test_blocks_match_the_quadratic_scan(seed, bias):
     a = random_algebra(np.random.default_rng(seed), n_max=9, edge_bias=bias)
     assert a.blocks == quadratic_blocks(a)
+
+
+def triple_scan_rows(a):
+    """(class, triangle rows, cycle dimension) of each class with a cycle,
+    the rows taken over every block triple x < y < z in lexicographic
+    order, as cycle_flagged_classes used to build them."""
+    out = []
+    for c in range(len(a.cstar_classes)):
+        verts = a.class_blocks(c)
+        und = sorted({(min(r, s), max(r, s)) for (r, s) in a.reduced.edges
+                      if r != s and r in verts and s in verts})
+        if not und or len(und) - len(verts) + 1 <= 0:
+            continue
+        pos = {e: k for k, e in enumerate(und)}
+        rows = []
+        for x, y, z in itertools.combinations(sorted(verts), 3):
+            if (x, y) in pos and (y, z) in pos and (x, z) in pos:
+                row = [0] * len(und)
+                row[pos[(x, y)]] += 1
+                row[pos[(y, z)]] += 1
+                row[pos[(x, z)]] -= 1
+                rows.append(row)
+        out.append((c, rows, len(und) - len(verts) + 1))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([0.1, 0.3, 0.6]))
+def test_triangles_from_edges_match_the_triple_scan(seed, bias):
+    a = random_algebra(np.random.default_rng(seed), n_max=12, edge_bias=bias)
+    with mock.patch.object(core, "rational_rank", wraps=rational_rank) as rank:
+        flagged = la.cycle_flagged_classes(a)
+    want = triple_scan_rows(a)
+    assert [call.args[0] for call in rank.call_args_list] == [
+        rows for _, rows, _ in want]
+    assert flagged == tuple(c for c, rows, dim in want
+                            if rational_rank(rows) < dim)
 
 
 @settings(max_examples=40, deadline=None)

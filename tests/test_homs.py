@@ -1,6 +1,8 @@
 """Map layer: validation, decomposition, composition, numeric round-trips."""
 
+import ast
 import itertools
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -14,8 +16,10 @@ from limitalg.errors import (BlockPartial, CapacityExceeded,
                              NotInjective, NotInRange, NotMultiplicative,
                              NotStarConsistent, ShapeMismatch)
 
+import dict_reference as ref
 from conftest import (EXACT_PHASES, random_algebra, random_block_permutation,
                       random_monomial_unitary, random_standard_map)
+from dict_reference import reference_multiplicity_one
 
 
 def test_validate_multiplicity_one_catches_non_injective():
@@ -39,43 +43,16 @@ def test_validate_multiplicity_one_catches_partial_block():
         la.validate_multiplicity_one({1: 1}, a, b)
 
 
-def reference_multiplicity_one(iota, source, target, phases=None):
-    """validate_multiplicity_one as a scan of every source edge, in sorted
-    order, and of every class as a set; returns (iota, weights)."""
-    imap, seen = {}, {}
-    for i, j in iota.items():
-        if not 1 <= i <= source.n:
-            raise ValueError(f"source index {i} out of range")
-        if not 1 <= j <= target.n:
-            raise ValueError(f"target index {j} out of range")
-        if j in seen:
-            raise NotInjective(seen[j], i, j)
-        seen[j] = i
-        imap[i] = j
-    for i, j in sorted(source.edges):
-        if i in imap and j in imap and (imap[i], imap[j]) not in target.edges:
-            raise EdgeIncompatible(i, j)
-    for cls in source.cstar_classes:
-        hit = set(imap) & set(cls)
-        if hit and hit != set(cls):
-            raise BlockPartial(cls)
-    if phases is None:
-        return imap, None
-    w = {i: complex(phases.get(i, 1.0)) for i in imap}
-    for i, lam in w.items():
-        if abs(abs(lam) - 1.0) > 1e-12:
-            raise ValueError(f"phase at {i} is not unimodular")
-    return imap, w
-
-
 def _build_outcome(build):
     try:
         out = build()
     except (ValueError, LimitalgError) as e:
         return type(e).__name__, getattr(e, "data", str(e))
     if isinstance(out, tuple):
-        return "ok", out
-    return "ok", (out.iota, out._weight)
+        iota, w = out
+    else:
+        iota, w = out.iota, {i: out.weight(i) for i in out.iota}
+    return "ok", (iota, {i: 1.0 + 0.0j for i in iota} if w is None else w)
 
 
 def _random_index_map(rng, kind):
@@ -150,20 +127,126 @@ def test_index_map_is_built_once():
     assert s.index_map() is s.index_map()
 
 
+def _bits(z):
+    return float(z.real).hex(), float(z.imag).hex()
+
+
+def _table(m):
+    """The summands of a map or of its reference form, weights as bits."""
+    rows = ref.of(m)[2] if isinstance(m, la.StandardRegularMap) else m[2]
+    return [(iota, [_bits(1.0 + 0.0j if w is None else w[i]) for i in iota])
+            for iota, w in rows]
+
+
+def _monomial_bits(v):
+    return [(i, j, _bits(v.phase(i))) for i, j in v.pairs]
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**9))
 def test_canonical_summands_match_per_class_restrictions(seed):
     rng = np.random.default_rng(seed)
-    phi = random_standard_map(rng, pad=int(rng.integers(0, 2)))
+    phi = random_standard_map(rng, pad=int(rng.integers(0, 2)),
+                              exact=bool(rng.integers(0, 2)))
     if rng.random() < 0.5:
         phi = la.compose(random_standard_map(rng, source=phi.target), phi)
-    parts = [s.restrict_to_class(c).normalized() for s in phi.summands
-             for c in s.covered_classes()]
-    parts.sort(key=lambda p: (min(p.domain()), p.index_map().sort_key(),
-                              min(p.image())))
-    got = phi.canonical_summands()
-    assert ([(p.iota, p._weight) for p in got]
-            == [(p.iota, p._weight) for p in parts])
+    got = la.decompose_maximal(phi)
+    assert _table((None, None, [(p.iota, {i: p.weight(i) for i in p.iota})
+                                for p in got])) == _table(
+        (None, None, ref.canonical(ref.of(phi))))
+    assert phi.class_multiset() == ref.class_multiset(ref.of(phi))
+    assert [p.index_map().pairs for p in got] == list(phi.class_multiset())
+
+
+def _result(build):
+    """What build returns, made comparable bit by bit, or its error."""
+    try:
+        out = build()
+    except (ValueError, la.errors.LimitalgError) as e:
+        return type(e).__name__, str(e), getattr(e, "data", None)
+    if isinstance(out, la.StandardPartialIsometry):
+        return _monomial_bits(out)
+    if isinstance(out, tuple) and isinstance(out[1], la.StandardPartialIsometry):
+        return _table(out[0]), _monomial_bits(out[1])
+    return _table(out)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_table_matches_the_dict_implementation(seed, exact):
+    rng = np.random.default_rng(seed)
+    phi = random_standard_map(rng, pad=int(rng.integers(0, 2)), exact=exact)
+    psi = random_standard_map(rng, source=phi.target, copies=2, exact=exact)
+    v = random_monomial_unitary(rng, phi.target, exact=exact)
+    u = random_monomial_unitary(rng, phi.source, exact=exact)
+    twin = random_standard_map(rng, source=phi.source, exact=exact)
+    moved = la.conjugate_standard(phi, v)
+    rp, rq, rm = ref.of(phi), ref.of(psi), ref.of(moved)
+    partial = la.StandardPartialIsometry(phi.target, {1: 1})
+    swap = la.StandardPartialIsometry(
+        phi.source, {i: phi.source.n + 1 - i for i in range(1, phi.source.n + 1)})
+    cases = [
+        (lambda: la.compose(psi, phi), lambda: ref.compose(rq, rp)),
+        (lambda: la.compose(phi, phi), lambda: ref.compose(rp, rp)),
+        (lambda: la.conjugate_standard(phi, v), lambda: ref.conjugate(rp, v)),
+        (lambda: la.conjugate_standard(phi, partial),
+         lambda: ref.conjugate(rp, partial)),
+        (lambda: la.direct_sum(phi, twin),
+         lambda: ref.direct_sum(rp, ref.of(twin))),
+        (lambda: la.direct_sum(phi, psi), lambda: ref.direct_sum(rp, rq)),
+        (lambda: la.strictify(moved), lambda: ref.strictify(rm)),
+        (lambda: la.apply_to_unitary(phi, u),
+         lambda: ref.apply_to_unitary(rp, u)),
+        (lambda: la.apply_to_unitary(phi, swap),
+         lambda: ref.apply_to_unitary(rp, swap)),
+        (lambda: la.standard_witness(phi, moved),
+         lambda: ref.standard_witness(rp, rm)),
+        (lambda: la.standard_witness(phi, twin),
+         lambda: ref.standard_witness(rp, ref.of(twin))),
+        (lambda: la.assemble_regular(phi.summands + moved.summands),
+         lambda: ref.assemble(rp[2] + rm[2], phi.source, phi.target)),
+    ]
+    for new, old in cases:
+        assert _result(new) == _result(old)
+    for a, b in ((phi, moved), (moved, phi), (phi, twin),
+                 (la.compose(psi, phi), la.compose(la.identity_map(psi.target),
+                                                   la.compose(psi, phi)))):
+        assert la.same_action(a, b) == ref.same_action(ref.of(a), ref.of(b))
+    for m in (phi, moved, psi, la.compose(psi, phi)):
+        num = la.to_numeric(m)
+        assert num.stack.tobytes() == ref.to_numeric(ref.of(m)).tobytes()
+        assert num.tolerance == (0.0 if m.is_strict else 1e-12)
+        assert m.rank_matrix().entries == ref.rank_matrix(ref.of(m))
+        assert m.class_multiset() == ref.class_multiset(ref.of(m))
+
+
+def test_only_homs_reads_the_table_layout():
+    private = {name for cls in (la.StandardRegularMap, la.MultiplicityOneMap)
+               for name in cls.__slots__ if name.startswith("_")}
+    root = pathlib.Path(la.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "homs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert private and found == []
+
+
+def test_table_rows_are_checked_as_given():
+    a = la.full_matrix_algebra(2)
+    t4 = la.full_matrix_algebra(4)
+    with pytest.raises(ValueError, match="source index 1 listed twice"):
+        la.StandardRegularMap(a, t4, np.array([1, 1]), np.array([1, 2]),
+                              np.array([0, 0]))
+    # the summand order of the given rows decides which error comes first
+    with pytest.raises(BlockPartial):
+        la.StandardRegularMap(a, t4, np.array([1, 1, 2]),
+                              np.array([1, 3, 3]), np.array([0, 1, 1]))
+    phi = la.StandardRegularMap(a, t4, np.array([2, 1, 2, 1]),
+                                np.array([4, 3, 2, 1]), np.array([1, 1, 0, 0]))
+    assert [s.iota for s in phi.summands] == [{1: 1, 2: 2}, {1: 3, 2: 4}]
 
 
 def test_assemble_rejects_overlapping_images():
@@ -298,10 +381,9 @@ def test_weighted_summand_unit_coeffs():
     a = la.tr_algebra(2)
     s = la.validate_multiplicity_one({1: 1, 2: 2}, a, a,
                                      phases={1: 1j, 2: -1})
-    phi = la.assemble_regular([s])
-    ((i, j, coeff),) = phi.unit_image(1, 2)
-    assert (i, j) == (1, 2)
-    assert coeff == 1j * np.conj(-1)
+    image = la.to_numeric(la.assemble_regular([s])).images[(1, 2)]
+    assert image[0, 1] == 1j * np.conj(-1)
+    assert np.count_nonzero(image) == 1
 
 
 def test_strictify_produces_trivial_weights():

@@ -127,6 +127,59 @@ def test_schema_error_pointers():
         iolib.parse_workspace_text("not json at all")
 
 
+def test_weights_off_the_pairs_are_rejected(tmp_path, capsys):
+    doc = {"type": "standard", "source": {"tr": {"r": 2}},
+           "target": {"tr": {"r": 2}},
+           "summands": [{"pairs": [[1, 1], [2, 2]], "weights": [[2, -1]]},
+                        {"pairs": [], "weights": [[1, 1], [5, [0, 1]]]}]}
+    with pytest.raises(SchemaError) as err:
+        iolib.parse_map(doc, "")
+    assert err.value.data["pointer"] == "/summands/1/weights/0"
+    doc["summands"] = doc["summands"][:1]
+    doc["summands"][0]["weights"].append([3, [0, 1]])
+    with pytest.raises(SchemaError) as err:
+        iolib.parse_map(doc, "/m")
+    assert err.value.data["pointer"] == "/m/summands/0/weights/1"
+    assert main(["decompose", "--map", write_json(tmp_path / "w.json", doc)]
+                ) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["data"]) == (
+        "SchemaError", {"pointer": "/summands/0/weights/1"})
+
+
+def test_summand_errors_are_named_in_file_order():
+    # each summand is checked as it is read: an earlier summand's error
+    # comes before a later row's schema error, an overlap after it
+    def first_error(summands):
+        doc = {"type": "standard", "source": {"tr": {"r": 2}},
+               "target": {"tr": {"r": 2, "size": 2}}, "summands": summands}
+        with pytest.raises(Exception) as err:
+            iolib.parse_map(doc, "")
+        return type(err.value).__name__, getattr(err.value, "data",
+                                                 str(err.value))
+    twice = {"pairs": [[1, 1], [2, 1]]}
+    broken = {"pairs": [[1]]}
+    good = {"pairs": [[1, 1], [2, 3]]}
+    assert first_error([twice, broken]) == (
+        "NotInjective", {"i": 1, "j": 2, "image": 1})
+    assert first_error([good, good, broken]) == (
+        "SchemaError", {"pointer": "/summands/2/pairs/0"})
+    assert first_error([good, {"pairs": [[1, 2], [2, 5]]}, broken]) == (
+        "ValueError", "target index 5 out of range")
+    assert first_error([good, {"pairs": [[1, 2], [2, 4]]}, good]) == (
+        "ImageOverlap", {"s": 0, "s2": 2, "index": 1})
+
+
+def test_parsed_and_built_algebras_are_one_instance():
+    rows = [[1, 2], [3, 4], [1, 4], [2, 4]]
+    edges = {tuple(r) for r in rows} | {(i, i) for i in range(1, 5)}
+    built = la.build_digraph_algebra(4, edges)
+    assert iolib.parse_algebra({"n": 4, "edges": rows}, "") is built
+    parsed = iolib.parse_algebra({"n": 5, "edges": rows}, "")
+    assert la.build_digraph_algebra(
+        5, edges | {(5, 5)}) is parsed
+
+
 def test_dangling_references():
     with pytest.raises(DanglingReference):
         iolib.parse_workspace_text(
