@@ -360,8 +360,7 @@ def _canonical_from_census(census: SummandCensus, src: DigraphAlgebra,
             rows += blk
             slots += got
             piece += [k] * len(blk)
-    return StandardRegularMap(src, tgt, np.array(rows, dtype=np.int64),
-                              np.array(slots, dtype=np.int64), piece)
+    return StandardRegularMap(src, tgt, rows, slots, piece)
 
 
 def _census_intertwiner(phi: NumericStarMap, census: SummandCensus,

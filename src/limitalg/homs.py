@@ -57,15 +57,6 @@ class IndexMap:
         clean = sorted((int(a), int(b)) for a, b in self.pairs)
         object.__setattr__(self, "pairs", tuple(clean))
 
-    def domain(self) -> tuple:
-        return tuple(r for r, _ in self.pairs)
-
-    def __call__(self, r: int) -> int:
-        for a, b in self.pairs:
-            if a == r:
-                return b
-        raise KeyError(r)
-
     def sort_key(self) -> tuple:
         return self.pairs
 
@@ -89,75 +80,16 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
             + (start - end + count).repeat(count))
 
 
+def _column(values) -> np.ndarray:
+    """An index column as int64, or as Python ints when one does not fit,
+    so that the range check names it as given."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 _NO_ROWS = np.zeros(0, dtype=np.int64)
-
-
-def _checked(source: DigraphAlgebra, target: DigraphAlgebra,
-             src: np.ndarray, tgt: np.ndarray, piece: np.ndarray,
-             weight: Optional[np.ndarray]) -> tuple:
-    """The rows of a standard map, checked, sorted by (piece, src).
-
-    One pass over the rows raises the first broken invariant, summand by
-    summand in order, each at its first witness: range, injectivity and
-    one row per source index, row by row as given; edges; the least class
-    met and not covered; the first weight that is not unimodular. Then it
-    names the first summand whose image meets an earlier one, at the
-    least such index. Edges are decided on blocks, as the edge set is the
-    blow-up of the reduced one: a summand preserves edges exactly when it
-    sends each source block r into one target block tau(r), and each
-    reduced edge (r, q) it meets to a reduced edge (tau(r), tau(q)). Only
-    on failure are the sorted source edges scanned, so that
-    EdgeIncompatible names the least failing pair.
-    """
-    s, t = src.tolist(), tgt.tolist()
-    w = None if weight is None else weight.tolist()
-    rows = {}
-    for k, p in enumerate(piece.tolist()):
-        rows.setdefault(p, []).append(k)
-    sb, tb, sc = source.block_index, target.block_index, source.class_index
-    for p in sorted(rows):
-        imap, seen, tau, hits, ok = {}, {}, {}, {}, True
-        for k in rows[p]:
-            i, j = s[k], t[k]
-            if not 1 <= i <= source.n:
-                raise ValueError(f"source index {i} out of range")
-            if not 1 <= j <= target.n:
-                raise ValueError(f"target index {j} out of range")
-            if j in seen:
-                raise NotInjective(seen[j], i, j)
-            if i in imap:
-                raise ValueError(f"source index {i} listed twice")
-            seen[j], imap[i] = i, j
-            r, c = tb(j), sc(i)
-            ok = tau.setdefault(sb(i), r) == r and ok
-            hits[c] = hits.get(c, 0) + 1
-        if not (ok and all((tau[r], tau[q]) in target.reduced.edges
-                           for r, q in source.reduced.edges
-                           if r in tau and q in tau)):
-            raise EdgeIncompatible(*next(
-                (i, j) for i, j in sorted(source.edges)
-                if i in imap and j in imap
-                and (imap[i], imap[j]) not in target.edges))
-        for c in sorted(hits):
-            if hits[c] != len(source.cstar_classes[c]):
-                raise BlockPartial(source.cstar_classes[c])
-        for k in rows[p] if w is not None else ():
-            if abs(abs(w[k]) - 1.0) > EXACT_SLACK:
-                raise ValueError(f"phase at {s[k]} is not unimodular")
-    if len(set(t)) < len(t):
-        owner = {}
-        for p, j in sorted(zip(piece.tolist(), t)):
-            if owner.setdefault(j, p) != p:
-                raise ImageOverlap(
-                    f"summands {owner[j]} and {p} both use target index {j}",
-                    s=owner[j], s2=p, index=j)
-    src, tgt = src.astype(np.int64), tgt.astype(np.int64)
-    key = piece * (source.n + 1) + src
-    if np.count_nonzero(key[1:] < key[:-1]):
-        o = key.argsort(kind="stable")
-        src, tgt, piece = src[o], tgt[o], piece[o]
-        weight = None if weight is None else weight[o]
-    return src, tgt, piece, weight
 
 
 class MultiplicityOneMap:
@@ -221,24 +153,19 @@ def validate_multiplicity_one(iota, source: DigraphAlgebra,
                               target: DigraphAlgebra,
                               phases: Optional[Mapping] = None
                               ) -> MultiplicityOneMap:
-    """Check the multiplicity-one invariants and build the map.
+    """Check the multiplicity-one invariants and build the map: the one
+    summand of a table whose rows are the pairs in order.
 
     iota may be a mapping or an iterable of (i, j) pairs. phases, when given,
     assigns a unimodular weight to each domain index (1 where it has none).
-    The pairs are checked in order as the rows of a one-summand table; an
-    index too large for int64 stays a Python int for the range check.
     """
     if not isinstance(iota, Mapping):
         iota = dict(iota)
-    src, tgt = [int(i) for i in iota], [int(j) for j in iota.values()]
-    w = None if phases is None else np.array(
-        [complex(phases.get(i, 1.0)) for i in src], dtype=complex)
-    rows = _checked(source, target, np.array(src), np.array(tgt),
-                    np.zeros(len(src), dtype=np.int64), w)
-    for a in rows:
-        if a is not None:
-            a.setflags(write=False)
-    return MultiplicityOneMap(source, target, rows[0], rows[1], rows[3])
+    src = [int(i) for i in iota]
+    w = None if phases is None else [phases.get(i, 1.0) for i in src]
+    phi = StandardRegularMap(source, target, src, list(iota.values()),
+                             [0] * len(src), w, 1)
+    return MultiplicityOneMap(source, target, phi.src, phi.tgt, phi.weight)
 
 
 class StandardRegularMap:
@@ -246,23 +173,89 @@ class StandardRegularMap:
     one read-only index table: row k sends src[k] to tgt[k] in summand
     piece[k] with weight weight[k] (weight is None when no summand has
     weights), sorted by (piece, src). pieces counts the summands, empty
-    ones included. The constructor checks the rows (_checked), so every
-    map, given or derived, is validated.
+    ones included; by default it is one more than the largest piece.
+
+    The constructor is the one check of every map, given or derived. The
+    columns must have one length and each piece lie in 0..pieces-1; index
+    columns may be any int sequences. Then one pass over the rows raises
+    the first broken invariant, summand by summand in order, each at its
+    first witness: range, injectivity and one row per source index, row
+    by row as given; edges; the least class met and not covered; the first
+    weight that is not unimodular. Last it names the first summand whose
+    image meets an earlier one, at the least such index. Edges are decided
+    on blocks, as the edge set is the blow-up of the reduced one: a summand
+    preserves edges exactly when it sends each source block r into one
+    target block tau(r), and each reduced edge (r, q) it meets to a reduced
+    edge (tau(r), tau(q)). Only on failure are the sorted source edges
+    scanned, so that EdgeIncompatible names the least failing pair.
     """
 
     __slots__ = ("source", "target", "src", "tgt", "piece", "weight",
                  "pieces", "_summands", "_canonical", "_keys")
 
     def __init__(self, source: DigraphAlgebra, target: DigraphAlgebra,
-                 src: np.ndarray, tgt: np.ndarray, piece: np.ndarray,
-                 weight: Optional[np.ndarray] = None,
-                 pieces: Optional[int] = None):
-        src, tgt, piece, weight = _checked(
-            source, target, src, tgt, np.asarray(piece, dtype=np.int64), weight)
-        self._fill(source, target, src, tgt, piece, weight,
-                   int(piece.max(initial=-1)) + 1 if pieces is None else pieces)
-
-    def _fill(self, source, target, src, tgt, piece, weight, pieces) -> None:
+                 src, tgt, piece, weight=None, pieces: Optional[int] = None):
+        src, tgt, piece = _column(src), _column(tgt), _column(piece)
+        s, t, pc = src.tolist(), tgt.tolist(), piece.tolist()
+        w = None
+        if weight is not None:
+            weight = np.asarray(weight, dtype=complex)
+            w = weight.tolist()
+        if not len(s) == len(t) == len(pc) == len(s if w is None else w):
+            raise ValueError("src, tgt, piece and weight differ in length")
+        pieces = max(pc, default=-1) + 1 if pieces is None else pieces
+        if pc and not (min(pc) >= 0 and max(pc) < pieces):
+            raise ValueError(f"a piece is outside 0..{pieces - 1}")
+        rows = {}
+        for k, p in enumerate(pc):
+            rows.setdefault(p, []).append(k)
+        sn, tn = source.n, target.n
+        sb, tb = source.block_index, target.block_index
+        for p in sorted(rows):
+            imap, seen, tau, count, ok = {}, {}, {}, {}, True
+            for k in rows[p]:
+                i, j = s[k], t[k]
+                if not 1 <= i <= sn:
+                    raise ValueError(f"source index {i} out of range")
+                if not 1 <= j <= tn:
+                    raise ValueError(f"target index {j} out of range")
+                if j in seen:
+                    raise NotInjective(seen[j], i, j)
+                if i in imap:
+                    raise ValueError(f"source index {i} listed twice")
+                seen[j], imap[i] = i, j
+                r, x = sb(i), tb(j)
+                ok = tau.setdefault(r, x) == x and ok
+                count[r] = count.get(r, 0) + 1
+            if not (ok and all((tau[r], tau[q]) in target.reduced.edges
+                               for r, q in source.reduced.edges
+                               if r in tau and q in tau)):
+                raise EdgeIncompatible(*next(
+                    (i, j) for i, j in sorted(source.edges)
+                    if i in imap and j in imap
+                    and (imap[i], imap[j]) not in target.edges))
+            hits = {}
+            for r, m in count.items():
+                c = source.class_of_block(r)
+                hits[c] = hits.get(c, 0) + m
+            for c in sorted(hits):
+                if hits[c] != len(source.cstar_classes[c]):
+                    raise BlockPartial(source.cstar_classes[c])
+            for k in rows[p] if w is not None else ():
+                if abs(abs(w[k]) - 1.0) > EXACT_SLACK:
+                    raise ValueError(f"phase at {s[k]} is not unimodular")
+        if len(set(t)) < len(t):
+            owner = {}
+            for p, j in sorted(zip(pc, t)):
+                if owner.setdefault(j, p) != p:
+                    raise ImageOverlap(
+                        f"summands {owner[j]} and {p} both use target index {j}",
+                        s=owner[j], s2=p, index=j)
+        key = [p * (sn + 1) + i for p, i in zip(pc, s)]
+        if key != sorted(key):
+            o = np.argsort(key, kind="stable")
+            src, tgt, piece = src[o], tgt[o], piece[o]
+            weight = None if weight is None else weight[o]
         for a in (src, tgt, piece, weight):
             if a is not None:
                 a.setflags(write=False)
@@ -309,7 +302,6 @@ class StandardRegularMap:
         indices of its class's blocks, in order. Weights are divided by the
         piece's weight at its least index; a piece whose ratios are all
         within EXACT_SLACK of 1 gets weight 1, and weight is None if all do.
-        Its rows are this map's, checked when it was built, reordered.
         """
         if self._canonical is None:
             src, tgt = self.src.tolist(), self.tgt.tolist()
@@ -325,21 +317,19 @@ class StandardRegularMap:
                            min(tgt[k] for k in ks), ks)
                           for (_, c), ks in groups.items())
             self._keys = tuple(key[1] for key in keys)
-            rows = [k for key in keys for k in key[3]]
+            rows = [k for *_, ks in keys for k in ks]
             w = None
             if self.weight is not None:
                 ws, w = self.weight.tolist(), []
-                for key in keys:
-                    ratio = [ws[k] / ws[key[3][0]] for k in key[3]]
-                    if all(abs(x - 1.0) <= EXACT_SLACK for x in ratio):
-                        ratio = [1.0 + 0.0j] * len(ratio)
-                    w += ratio
-                w = None if all(x == 1 for x in w) else np.array(w)
-            canon = object.__new__(StandardRegularMap)
-            canon._fill(self.source, self.target, self.src[rows], self.tgt[rows],
-                        np.arange(len(keys)).repeat([len(k[3]) for k in keys]),
-                        w, len(keys))
-            self._canonical = canon
+                for *_, ks in keys:
+                    ratio = [ws[k] / ws[ks[0]] for k in ks]
+                    trivial = all(abs(x - 1.0) <= EXACT_SLACK for x in ratio)
+                    w += [1.0 + 0.0j] * len(ks) if trivial else ratio
+                w = None if all(x == 1 for x in w) else w
+            self._canonical = StandardRegularMap(
+                self.source, self.target, self.src[rows], self.tgt[rows],
+                [p for p, (*_, ks) in enumerate(keys) for _ in ks], w,
+                len(keys))
         return self._canonical
 
     def class_multiset(self) -> tuple:
@@ -351,11 +341,6 @@ class StandardRegularMap:
     def __repr__(self) -> str:
         return (f"StandardRegularMap({self.source.n} -> {self.target.n}, "
                 f"{self.pieces} summands)")
-
-
-def _same(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal entry for entry, for rows of one dtype."""
-    return a.tobytes() == b.tobytes()
 
 
 def _weights(phi: StandardRegularMap) -> np.ndarray:
@@ -397,7 +382,7 @@ def identity_map(a: DigraphAlgebra) -> StandardRegularMap:
 
 
 def zero_map(source: DigraphAlgebra, target: DigraphAlgebra) -> StandardRegularMap:
-    return StandardRegularMap(source, target, _NO_ROWS, _NO_ROWS, _NO_ROWS)
+    return StandardRegularMap(source, target, (), (), ())
 
 
 def decompose_maximal(phi: StandardRegularMap) -> tuple:
@@ -449,20 +434,19 @@ def direct_sum(phi: StandardRegularMap, psi: StandardRegularMap
 
 
 def same_action(phi: StandardRegularMap, psi: StandardRegularMap) -> bool:
-    """Exact equality as maps: the same rows and weights, or else equal
-    canonical rows (the source column fixes where pieces end) with weights
-    within EXACT_SLACK."""
+    """Exact equality as maps: equal canonical rows (the source column
+    fixes where pieces end), weights within EXACT_SLACK. Equal tables
+    act equally, and need no canonical form: the exact intertwiner checks
+    its triangles against tables built the same way."""
     if phi.source != psi.source or phi.target != psi.target:
         return False
-    if (_same(phi.src, psi.src) and _same(phi.tgt, psi.tgt)
-            and _same(phi.piece, psi.piece)
-            and _same(_weights(phi), _weights(psi))):
+    if (np.array_equal(phi.src, psi.src) and np.array_equal(phi.tgt, psi.tgt)
+            and np.array_equal(phi.piece, psi.piece)
+            and np.array_equal(_weights(phi), _weights(psi))):
         return True
     a, b = phi.canonical(), psi.canonical()
-    if not (_same(a.src, b.src) and _same(a.tgt, b.tgt)):
-        return False
-    return (a.weight is None and b.weight is None) or not (
-        np.abs(_weights(a) - _weights(b)) > EXACT_SLACK).any()
+    return (np.array_equal(a.src, b.src) and np.array_equal(a.tgt, b.tgt)
+            and not (np.abs(_weights(a) - _weights(b)) > EXACT_SLACK).any())
 
 
 def canonical_pairing(phi: StandardRegularMap,
@@ -471,7 +455,7 @@ def canonical_pairing(phi: StandardRegularMap,
     indices, psi's, psi's weights over phi's); None unless both have the
     same canonical source column."""
     a, b = phi.canonical(), psi.canonical()
-    if not _same(a.src, b.src):
+    if not np.array_equal(a.src, b.src):
         return None
     return a.tgt, b.tgt, _exact(operator.truediv, _weights(b), _weights(a))
 
@@ -490,9 +474,9 @@ def monomial(a: DigraphAlgebra, at: np.ndarray, to: np.ndarray,
     other index to itself with phase 1."""
     pairs, phases = np.arange(a.n + 1), np.ones(a.n + 1, dtype=complex)
     pairs[at], phases[at] = to, phase
-    idx = range(1, a.n + 1)
-    return StandardPartialIsometry(a, dict(zip(idx, pairs[1:].tolist())),
-                                   dict(zip(idx, phases[1:].tolist())))
+    # phases is read by index, 1..n
+    return StandardPartialIsometry(
+        a, zip(range(1, a.n + 1), pairs[1:].tolist()), phases.tolist())
 
 
 def conjugate_standard(phi: StandardRegularMap,

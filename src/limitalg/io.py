@@ -262,8 +262,8 @@ def _parse_summand(doc, at: str) -> tuple:
 def parse_standard_map(doc, pointer: str,
                        algebras=None) -> StandardRegularMap:
     """One table of all summands, checked once. A summand row that breaks
-    the schema is reported after the summands before it are checked, each
-    summand on its own, as if each were checked as soon as it is read."""
+    the schema is reported after the summands before it are checked, as if
+    each summand were checked as soon as it is read."""
     d = _as_dict(doc, pointer)
     source = parse_algebra(d.get("source"), pointer + "/source", algebras)
     target = parse_algebra(d.get("target"), pointer + "/target", algebras)
@@ -272,24 +272,22 @@ def parse_standard_map(doc, pointer: str,
     for k, row in enumerate(rows):
         try:
             iota, weights = _parse_summand(row, f"{pointer}/summands/{k}")
-        except SchemaError:
-            late = k
+        except SchemaError as e:
+            late, rows = e, rows[:k]
             break
         src += iota
         tgt += iota.values()
         piece += [k] * len(iota)
-        w += [complex((weights or {}).get(i, 1.0)) for i in iota]
+        w += [(weights or {}).get(i, 1.0) for i in iota]
         weighted = weighted or weights is not None
     try:
-        phi = StandardRegularMap(
-            source, target, np.array(src), np.array(tgt), piece,
-            np.array(w, dtype=complex) if weighted else None,
-            len(rows) if late is None else late)
+        phi = StandardRegularMap(source, target, src, tgt, piece,
+                                 w if weighted else None, len(rows))
     except ImageOverlap:
         if late is None:
             raise
     if late is not None:
-        _parse_summand(rows[late], f"{pointer}/summands/{late}")
+        raise late
     return phi
 
 

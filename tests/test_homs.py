@@ -247,6 +247,36 @@ def test_table_rows_are_checked_as_given():
     phi = la.StandardRegularMap(a, t4, np.array([2, 1, 2, 1]),
                                 np.array([4, 3, 2, 1]), np.array([1, 1, 0, 0]))
     assert [s.iota for s in phi.summands] == [{1: 1, 2: 2}, {1: 3, 2: 4}]
+    # every row belongs to a summand, and the columns have one length
+    for piece, pieces in (([-1, -1], None), ([0, 1], 1), ([0, 0], 0)):
+        with pytest.raises(ValueError, match="outside"):
+            la.StandardRegularMap(a, a, [1, 2], [1, 2], piece, None, pieces)
+    for cols in (([1, 2], [1], [0, 0], None), ([1, 2], [1, 2], [0], None),
+                 ([1, 2], [1, 2], [0, 0], [1.0])):
+        with pytest.raises(ValueError, match="differ in length"):
+            la.StandardRegularMap(a, a, *cols)
+
+
+def test_the_canonical_form_is_checked_like_any_table():
+    # weights each within EXACT_SLACK of modulus 1 whose ratio is not:
+    # the normalized piece breaks the table invariant, and building it
+    # through the constructor says so
+    a = la.full_matrix_algebra(2)
+    phi = la.assemble_regular([la.validate_multiplicity_one(
+        {1: 1, 2: 2}, a, a, phases={1: 1 + 0.9e-12, 2: 1 - 0.9e-12})])
+    with pytest.raises(ValueError, match="phase at 2 is not unimodular"):
+        phi.canonical()
+
+
+def test_indices_beyond_int64_fail_the_range_check_as_given():
+    a = la.full_matrix_algebra(2)
+    big = 2 ** 63
+    for iota, bad in (({-1: 1, big: 2}, -1), ({big: 1, -1: 2}, big),
+                      ({1: big, 2: -1}, big)):
+        kind = "source" if bad in iota else "target"
+        with pytest.raises(ValueError) as err:
+            la.validate_multiplicity_one(iota, a, a)
+        assert str(err.value) == f"{kind} index {bad} out of range"
 
 
 def test_assemble_rejects_overlapping_images():

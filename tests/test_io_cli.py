@@ -170,6 +170,22 @@ def test_summand_errors_are_named_in_file_order():
         "ImageOverlap", {"s": 0, "s2": 2, "index": 1})
 
 
+def test_mixed_sign_indices_beyond_int64_are_named_as_given(tmp_path, capsys):
+    # a negative index next to one in [2**63, 2**64) must not turn the
+    # index column into floats
+    doc = {"type": "standard", "source": {"tr": {"r": 2}},
+           "target": {"tr": {"r": 2}},
+           "summands": [{"pairs": [[-1, 1], [2 ** 63, 2]]}]}
+    assert main(["decompose", "--map", write_json(tmp_path / "m.json", doc)]
+                ) == 2
+    out = capsys.readouterr().out
+    assert json.loads(out)["error"]["message"] == (
+        "source index -1 out of range")
+    doc["summands"] = [{"pairs": [[1, 2 ** 63], [2, -1]]}]
+    with pytest.raises(ValueError, match=f"^target index {2 ** 63} out"):
+        iolib.parse_map(doc, "")
+
+
 def test_parsed_and_built_algebras_are_one_instance():
     rows = [[1, 2], [3, 4], [1, 4], [2, 4]]
     edges = {tuple(r) for r in rows} | {(i, i) for i in range(1, 5)}
