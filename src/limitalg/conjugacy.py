@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .core import (DigraphAlgebra, PermutationUnitary,
                    StandardPartialIsometry, StandardProjection, projection,
                    rank_profile)
@@ -126,12 +124,11 @@ def standard_witness(phi1: StandardRegularMap, phi2: StandardRegularMap,
     # places in both maps, so the canonical rows pair up in order; the
     # indices left over go blockwise, smallest to smallest, phase one
     at, to, phase = canonical_pairing(phi1, phi2)
-    idx = np.array([i for blk in a2.blocks for i in blk])
-    free_at, free_to = np.ones((2, a2.n + 1), dtype=bool)
-    free_at[at] = free_to[to] = False
-    v = monomial(a2, np.concatenate((at, idx[free_at[idx]])),
-                 np.concatenate((to, idx[free_to[idx]])),
-                 np.concatenate((phase, np.ones(a2.n - len(at)))))
+    idx = [i for blk in a2.blocks for i in blk]
+    used_at, used_to = set(at), set(to)
+    v = monomial(a2, at + tuple(i for i in idx if i not in used_at),
+                 to + tuple(i for i in idx if i not in used_to),
+                 phase + [1.0 + 0.0j] * (a2.n - len(at)))
     if not same_action(conjugate_standard(phi1, v), phi2):
         raise InternalError("witness construction failed to verify")
     return v
@@ -141,7 +138,7 @@ def _diagonal_correction(moved: StandardRegularMap, target_map: StandardRegularM
                          a2: DigraphAlgebra) -> StandardPartialIsometry:
     """Diagonal d with Ad(d) moved = target_map, when the index data agree."""
     pairing = canonical_pairing(moved, target_map)
-    if pairing is None or not np.array_equal(pairing[0], pairing[1]):
+    if pairing is None or pairing[0] != pairing[1]:
         raise NotInnerEquivalent(reason="evidence does not align the summands")
     d = monomial(a2, pairing[0], pairing[0], pairing[2])
     if not same_action(conjugate_standard(moved, d), target_map):

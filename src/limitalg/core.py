@@ -46,9 +46,10 @@ class Digraph:
 def _check_relation(n: int, edges: frozenset) -> None:
     if n < 1:
         raise ValueError("n must be positive")
-    for (i, j) in edges:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"edge ({i},{j}) out of range 1..{n}")
+    bad = [(i, j) for (i, j) in edges if not (1 <= i <= n and 1 <= j <= n)]
+    if bad:
+        i, j = min(bad)
+        raise ValueError(f"edge ({i},{j}) out of range 1..{n}")
     for i in range(1, n + 1):
         if (i, i) not in edges:
             raise NotReflexive(i)
@@ -252,11 +253,12 @@ def tr_algebra(r: int, size: int = 1) -> DigraphAlgebra:
     Band t occupies indices (t-1)*size+1 .. t*size; edges run from lower
     bands to higher bands, full within each band pair.
     """
-    n = r * size
+    size = operator.index(size)
+    n = operator.index(r) * size
     band = lambda i: (i - 1) // size
-    edges = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-             if band(i) <= band(j)]
-    return build_digraph_algebra(n, edges)
+    return _interned(n, frozenset(
+        (i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+        if band(i) <= band(j)))
 
 
 def full_matrix_algebra(k: int) -> DigraphAlgebra:
@@ -264,15 +266,17 @@ def full_matrix_algebra(k: int) -> DigraphAlgebra:
 
 
 def diagonal_algebra(k: int) -> DigraphAlgebra:
-    return build_digraph_algebra(k, [(i, i) for i in range(1, k + 1)])
+    k = operator.index(k)
+    return _interned(k, frozenset((i, i) for i in range(1, k + 1)))
 
 
 def tensor_model(a: DigraphAlgebra, m: int) -> DigraphAlgebra:
     """A tensor M_m with index (i, c) stored at (i-1)*m + c."""
-    edges = [((i - 1) * m + c, (j - 1) * m + d)
-             for (i, j) in a.edges
-             for c in range(1, m + 1) for d in range(1, m + 1)]
-    return build_digraph_algebra(a.n * m, edges)
+    m = operator.index(m)
+    return _interned(a.n * m, frozenset(
+        ((i - 1) * m + c, (j - 1) * m + d)
+        for (i, j) in a.edges
+        for c in range(1, m + 1) for d in range(1, m + 1)))
 
 
 def direct_sum_algebra(*parts: DigraphAlgebra) -> DigraphAlgebra:
@@ -281,7 +285,7 @@ def direct_sum_algebra(*parts: DigraphAlgebra) -> DigraphAlgebra:
     for p in parts:
         edges.extend((i + offset, j + offset) for (i, j) in p.edges)
         offset += p.n
-    return build_digraph_algebra(offset, edges)
+    return _interned(offset, frozenset(edges))
 
 
 @dataclass(frozen=True)

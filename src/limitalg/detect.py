@@ -409,8 +409,8 @@ def _census_intertwiner(phi: NumericStarMap, census: SummandCensus,
     # the order of their slots; each one's root slot is its first row's
     slots = {}
     can = psi.canonical()
-    for key, t in zip(psi.class_multiset(), can.tgt[can.bounds()[:-1]]):
-        slots.setdefault(key, []).append(int(t) - 1)
+    for key, k in zip(psi.class_multiset(), can.bounds()):
+        slots.setdefault(key, []).append(can.tgt[k] - 1)
     z = np.zeros((n, n), dtype=complex)
     for im, mult in census.classes.items():
         word = test_word(src, src.class_of_block(im.pairs[0][0]))

@@ -1,9 +1,10 @@
 """Star-extendible homomorphisms between digraph algebras.
 
 Two representations are used. The combinatorial one (StandardRegularMap)
-is one read-only index table: row k sends source index src[k] to target
+is one index table of tuples: row k sends source index src[k] to target
 index tgt[k] inside summand piece[k], with an optional unimodular weight;
-its arithmetic is exact, and MultiplicityOneMap is a view of one summand.
+its arithmetic is exact Python int and complex arithmetic, and
+MultiplicityOneMap is a view of one summand.
 The numeric one (NumericStarMap) stores dense matrix-unit images and is
 validated against the star-extendibility identities within a tolerance.
 
@@ -16,7 +17,8 @@ forms; a map is "strict" standard when all weights are trivial.
 from __future__ import annotations
 
 import math
-import operator
+from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -64,84 +66,58 @@ class IndexMap:
         return [[a, b] for a, b in self.pairs]
 
 
-# exact arithmetic on the table
-
-def _exact(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """op entrywise on Python complex numbers, so that every weight and
-    phase has the bits of a loop over them (NumPy's complex loops fuse
-    and reorder operations)."""
-    return op(a.astype(object), b.astype(object)).astype(complex)
-
-
-def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The ranges start[k], ..., start[k] + count[k] - 1, concatenated."""
-    end = count.cumsum()
-    return (np.arange(end[-1] if len(end) else 0)
-            + (start - end + count).repeat(count))
-
-
-def _column(values) -> np.ndarray:
-    """An index column as int64, or as Python ints when one does not fit,
-    so that the range check names it as given."""
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-_NO_ROWS = np.zeros(0, dtype=np.int64)
+def _nontrivial(weight) -> bool:
+    """Whether some weight is more than EXACT_SLACK away from 1."""
+    return any(abs(x - 1.0) > EXACT_SLACK for x in weight)
 
 
 class MultiplicityOneMap:
     """One summand of a standard map as a view of its rows, sorted by
     source index: an injective partial index embedding iota with optional
-    unimodular weights, read out as Python int and complex."""
+    unimodular weights."""
 
     __slots__ = ("source", "target", "_src", "_tgt", "_w", "_row",
                  "_index_map")
 
     def __init__(self, source: DigraphAlgebra, target: DigraphAlgebra,
-                 src: np.ndarray, tgt: np.ndarray, w: Optional[np.ndarray]):
+                 src: tuple, tgt: tuple, w: Optional[tuple]):
         self.source, self.target = source, target
         self._src, self._tgt, self._w = src, tgt, w
         self._row = self._index_map = None
 
     @property
     def iota(self) -> dict:
-        return dict(zip(self._src.tolist(), self._tgt.tolist()))
+        return dict(zip(self._src, self._tgt))
 
     def domain(self) -> frozenset:
-        return frozenset(self._src.tolist())
+        return frozenset(self._src)
 
     def _at(self, i: int) -> int:
         """The row of source index i, by a table built on first use."""
         if self._row is None:
-            self._row = {j: k for k, j in enumerate(self._src.tolist())}
+            self._row = {j: k for k, j in enumerate(self._src)}
         return self._row[i]
 
     def __call__(self, i: int) -> int:
-        return int(self._tgt[self._at(i)])
+        return self._tgt[self._at(i)]
 
     def weight(self, i: int) -> complex:
         if self._w is None:
             return 1.0 + 0.0j
-        return complex(self._w[self._at(i)])
+        return self._w[self._at(i)]
 
     @property
     def weighted(self) -> bool:
-        return self._w is not None and bool(
-            (np.abs(self._w - 1.0) > EXACT_SLACK).any())
+        return self._w is not None and _nontrivial(self._w)
 
     def covered_classes(self) -> tuple:
-        return tuple(sorted({self.source.class_index(i)
-                             for i in self._src.tolist()}))
+        return tuple(sorted({self.source.class_index(i) for i in self._src}))
 
     def index_map(self) -> IndexMap:
         if self._index_map is None:
             sb, tb = self.source.block_index, self.target.block_index
             self._index_map = IndexMap(tuple({
-                sb(i): tb(j) for i, j in zip(self._src.tolist(),
-                                             self._tgt.tolist())}.items()))
+                sb(i): tb(j) for i, j in zip(self._src, self._tgt)}.items()))
         return self._index_map
 
     def __repr__(self) -> str:
@@ -170,24 +146,27 @@ def validate_multiplicity_one(iota, source: DigraphAlgebra,
 
 class StandardRegularMap:
     """Finite direct sum of multiplicity-one maps with disjoint images, as
-    one read-only index table: row k sends src[k] to tgt[k] in summand
+    one immutable index table: row k sends src[k] to tgt[k] in summand
     piece[k] with weight weight[k] (weight is None when no summand has
-    weights), sorted by (piece, src). pieces counts the summands, empty
-    ones included; by default it is one more than the largest piece.
+    weights), sorted by (piece, src). The columns are tuples of Python
+    ints, and of Python complex numbers for weight, so products and ratios
+    of weights have the bits of a loop over them. pieces counts the
+    summands, empty ones included; by default it is one more than the
+    largest piece.
 
     The constructor is the one check of every map, given or derived. The
-    columns must have one length and each piece lie in 0..pieces-1; index
-    columns may be any int sequences. Then one pass over the rows raises
-    the first broken invariant, summand by summand in order, each at its
-    first witness: range, injectivity and one row per source index, row
-    by row as given; edges; the least class met and not covered; the first
-    weight that is not unimodular. Last it names the first summand whose
-    image meets an earlier one, at the least such index. Edges are decided
-    on blocks, as the edge set is the blow-up of the reduced one: a summand
-    preserves edges exactly when it sends each source block r into one
-    target block tau(r), and each reduced edge (r, q) it meets to a reduced
-    edge (tau(r), tau(q)). Only on failure are the sorted source edges
-    scanned, so that EdgeIncompatible names the least failing pair.
+    columns may be any int (and complex) sequences; they must have one
+    length and each piece lie in 0..pieces-1. Then one pass over the rows
+    raises the first broken invariant, summand by summand in order, each
+    at its first witness: range, injectivity and one row per source index,
+    row by row as given; edges; the least class met and not covered; the
+    first weight that is not unimodular. Last it names the first summand
+    whose image meets an earlier one, at the least such index. Edges are
+    decided on blocks, as the edge set is the blow-up of the reduced one:
+    a summand preserves edges exactly when it sends each source block r
+    into one target block tau(r), and each reduced edge (r, q) it meets to
+    a reduced edge (tau(r), tau(q)). Only on failure are the sorted source
+    edges scanned, so that EdgeIncompatible names the least failing pair.
     """
 
     __slots__ = ("source", "target", "src", "tgt", "piece", "weight",
@@ -195,12 +174,8 @@ class StandardRegularMap:
 
     def __init__(self, source: DigraphAlgebra, target: DigraphAlgebra,
                  src, tgt, piece, weight=None, pieces: Optional[int] = None):
-        src, tgt, piece = _column(src), _column(tgt), _column(piece)
-        s, t, pc = src.tolist(), tgt.tolist(), piece.tolist()
-        w = None
-        if weight is not None:
-            weight = np.asarray(weight, dtype=complex)
-            w = weight.tolist()
+        s, t, pc = (tuple(map(int, c)) for c in (src, tgt, piece))
+        w = None if weight is None else tuple(map(complex, weight))
         if not len(s) == len(t) == len(pc) == len(s if w is None else w):
             raise ValueError("src, tgt, piece and weight differ in length")
         pieces = max(pc, default=-1) + 1 if pieces is None else pieces
@@ -253,25 +228,21 @@ class StandardRegularMap:
                         s=owner[j], s2=p, index=j)
         key = [p * (sn + 1) + i for p, i in zip(pc, s)]
         if key != sorted(key):
-            o = np.argsort(key, kind="stable")
-            src, tgt, piece = src[o], tgt[o], piece[o]
-            weight = None if weight is None else weight[o]
-        for a in (src, tgt, piece, weight):
-            if a is not None:
-                a.setflags(write=False)
+            o = sorted(range(len(key)), key=key.__getitem__)
+            s, t, pc = (tuple(c[k] for k in o) for c in (s, t, pc))
+            w = None if w is None else tuple(w[k] for k in o)
         self.source, self.target = source, target
-        self.src, self.tgt, self.piece, self.weight = src, tgt, piece, weight
+        self.src, self.tgt, self.piece, self.weight = s, t, pc, w
         self.pieces = pieces
         self._summands = self._canonical = self._keys = None
 
     @property
     def is_strict(self) -> bool:
-        return self.weight is None or not (
-            np.abs(self.weight - 1.0) > EXACT_SLACK).any()
+        return self.weight is None or not _nontrivial(self.weight)
 
     def bounds(self) -> list:
         """Summand k is rows bounds()[k] to bounds()[k + 1]."""
-        return self.piece.searchsorted(np.arange(self.pieces + 1)).tolist()
+        return [bisect_left(self.piece, p) for p in range(self.pieces + 1)]
 
     @property
     def summands(self) -> tuple:
@@ -285,12 +256,11 @@ class StandardRegularMap:
 
     def rank_matrix(self) -> RankMatrix:
         """Entry (r, j): the summands that carry index j into block r."""
-        n = self.source.n
-        tb = np.array([self.target.block_index(j) for j in self.tgt.tolist()],
-                      dtype=np.int64)
-        counts = np.bincount(tb * n + self.src - 1,
-                             minlength=len(self.target.blocks) * n)
-        return RankMatrix(tuple(map(tuple, counts.reshape(-1, n).tolist())))
+        tb = self.target.block_index
+        count = Counter((tb(j), i) for i, j in zip(self.src, self.tgt))
+        return RankMatrix(tuple(
+            tuple(count[r, i] for i in range(1, self.source.n + 1))
+            for r in range(len(self.target.blocks))))
 
     def canonical(self) -> "StandardRegularMap":
         """The same map as its maximal pieces, normalized, in canonical order.
@@ -304,11 +274,11 @@ class StandardRegularMap:
         within EXACT_SLACK of 1 gets weight 1, and weight is None if all do.
         """
         if self._canonical is None:
-            src, tgt = self.src.tolist(), self.tgt.tolist()
+            src, tgt = self.src, self.tgt
             sb, tb = self.source.block_index, self.target.block_index
             lead = self.source.blocks
             groups = {}
-            for k, (p, i) in enumerate(zip(self.piece.tolist(), src)):
+            for k, (p, i) in enumerate(zip(self.piece, src)):
                 groups.setdefault((p, self.source.class_index(i)), []).append(k)
             # each piece's index map pairs the blocks met, at their least
             # indices, with their target blocks
@@ -320,14 +290,15 @@ class StandardRegularMap:
             rows = [k for *_, ks in keys for k in ks]
             w = None
             if self.weight is not None:
-                ws, w = self.weight.tolist(), []
+                ws, w = self.weight, []
                 for *_, ks in keys:
                     ratio = [ws[k] / ws[ks[0]] for k in ks]
                     trivial = all(abs(x - 1.0) <= EXACT_SLACK for x in ratio)
                     w += [1.0 + 0.0j] * len(ks) if trivial else ratio
                 w = None if all(x == 1 for x in w) else w
             self._canonical = StandardRegularMap(
-                self.source, self.target, self.src[rows], self.tgt[rows],
+                self.source, self.target, [src[k] for k in rows],
+                [tgt[k] for k in rows],
                 [p for p, (*_, ks) in enumerate(keys) for _ in ks], w,
                 len(keys))
         return self._canonical
@@ -343,9 +314,9 @@ class StandardRegularMap:
                 f"{self.pieces} summands)")
 
 
-def _weights(phi: StandardRegularMap) -> np.ndarray:
+def _weights(phi: StandardRegularMap) -> tuple:
     """phi's weights, 1 on every row when it has none."""
-    return (np.ones(len(phi.src), dtype=complex) if phi.weight is None
+    return ((1.0 + 0.0j,) * len(phi.src) if phi.weight is None
             else phi.weight)
 
 
@@ -364,21 +335,21 @@ def assemble_regular(summands: Sequence[MultiplicityOneMap],
     bad = next((k for k, s in enumerate(summands)
                 if s.source != source or s.target != target), len(summands))
     parts = summands[:bad]
-    w = None if all(s._w is None for s in parts) else np.concatenate(
-        [np.ones(len(s._src), complex) if s._w is None else s._w
-         for s in parts])
+    w = None if all(s._w is None for s in parts) else [
+        x for s in parts
+        for x in ((1.0 + 0.0j,) * len(s._src) if s._w is None else s._w)]
     phi = StandardRegularMap(
-        source, target, np.concatenate([_NO_ROWS] + [s._src for s in parts]),
-        np.concatenate([_NO_ROWS] + [s._tgt for s in parts]),
-        np.arange(bad).repeat([len(s._src) for s in parts]), w, bad)
+        source, target, [i for s in parts for i in s._src],
+        [j for s in parts for j in s._tgt],
+        [k for k, s in enumerate(parts) for _ in s._src], w, bad)
     if bad < len(summands):
         raise SourceTargetMismatch(f"summand {bad} is over other algebras")
     return phi
 
 
 def identity_map(a: DigraphAlgebra) -> StandardRegularMap:
-    idx = np.arange(1, a.n + 1)
-    return StandardRegularMap(a, a, idx, idx, 0 * idx)
+    idx = range(1, a.n + 1)
+    return StandardRegularMap(a, a, idx, idx, [0] * a.n)
 
 
 def zero_map(source: DigraphAlgebra, target: DigraphAlgebra) -> StandardRegularMap:
@@ -390,30 +361,35 @@ def decompose_maximal(phi: StandardRegularMap) -> tuple:
     return phi.canonical().summands
 
 
+def _rows_by_src(phi: StandardRegularMap) -> dict:
+    """The rows of each source index, in row order (by summand)."""
+    at = {}
+    for k, i in enumerate(phi.src):
+        at.setdefault(i, []).append(k)
+    return at
+
+
 def compose(phi: StandardRegularMap, psi: StandardRegularMap
             ) -> StandardRegularMap:
-    """phi after psi: each row i -> x of psi meets the rows x -> y of phi
-    (by source, in summand order); the summands are the (phi, psi) summand
-    pairs that meet."""
+    """phi after psi: each row i -> x of psi meets the rows x -> y of phi;
+    the summands are the (phi, psi) summand pairs that meet."""
     if phi.source != psi.target:
         raise SourceTargetMismatch(
             "compose needs target(psi) equal to source(phi)")
-    total = np.bincount(phi.src, minlength=phi.source.n + 1)
-    count = total[psi.tgt]
-    right = phi.src.argsort(kind="stable")[
-        _ranges((total.cumsum() - total)[psi.tgt], count)]
-    left = np.arange(len(psi.src)).repeat(count)
-    # by summand pair, src ascending as the sort is stable
-    pair = phi.piece[right] * psi.pieces + psi.piece[left]
-    o = pair.argsort(kind="stable")
-    left, right, pair = left[o], right[o], pair[o]
-    piece = np.zeros(len(pair), dtype=np.int64)
-    piece[1:] = (pair[1:] != pair[:-1]).cumsum()
+    at = _rows_by_src(phi)
+    # by summand pair, then by psi's row, which puts each pair's src in order
+    rows = sorted((phi.piece[r] * psi.pieces + psi.piece[l], l, r)
+                  for l, x in enumerate(psi.tgt) for r in at.get(x, ()))
     w = None
     if phi.weight is not None or psi.weight is not None:
-        w = _exact(operator.mul, _weights(psi)[left], _weights(phi)[right])
-    return StandardRegularMap(psi.source, phi.target, psi.src[left],
-                              phi.tgt[right], piece, w)
+        wl, wr = _weights(psi), _weights(phi)
+        w = [wl[l] * wr[r] for _, l, r in rows]
+    # the pairs met, numbered in order, are the summands
+    ids = {}
+    return StandardRegularMap(
+        psi.source, phi.target, [psi.src[l] for _, l, _ in rows],
+        [phi.tgt[r] for _, _, r in rows],
+        [ids.setdefault(p, len(ids)) for p, _, _ in rows], w)
 
 
 def direct_sum(phi: StandardRegularMap, psi: StandardRegularMap
@@ -424,12 +400,12 @@ def direct_sum(phi: StandardRegularMap, psi: StandardRegularMap
         raise SourceTargetMismatch("direct sum needs a common source")
     w = None
     if phi.weight is not None or psi.weight is not None:
-        w = np.concatenate((_weights(phi), _weights(psi)))
+        w = _weights(phi) + _weights(psi)
     return StandardRegularMap(
         phi.source, direct_sum_algebra(phi.target, psi.target),
-        np.concatenate((phi.src, psi.src)),
-        np.concatenate((phi.tgt, psi.tgt + phi.target.n)),
-        np.concatenate((phi.piece, psi.piece + phi.pieces)), w,
+        phi.src + psi.src,
+        phi.tgt + tuple(j + phi.target.n for j in psi.tgt),
+        phi.piece + tuple(p + phi.pieces for p in psi.piece), w,
         phi.pieces + psi.pieces)
 
 
@@ -440,13 +416,12 @@ def same_action(phi: StandardRegularMap, psi: StandardRegularMap) -> bool:
     its triangles against tables built the same way."""
     if phi.source != psi.source or phi.target != psi.target:
         return False
-    if (np.array_equal(phi.src, psi.src) and np.array_equal(phi.tgt, psi.tgt)
-            and np.array_equal(phi.piece, psi.piece)
-            and np.array_equal(_weights(phi), _weights(psi))):
+    if (phi.src == psi.src and phi.tgt == psi.tgt and phi.piece == psi.piece
+            and _weights(phi) == _weights(psi)):
         return True
     a, b = phi.canonical(), psi.canonical()
-    return (np.array_equal(a.src, b.src) and np.array_equal(a.tgt, b.tgt)
-            and not (np.abs(_weights(a) - _weights(b)) > EXACT_SLACK).any())
+    return (a.src == b.src and a.tgt == b.tgt and not any(
+        abs(x - y) > EXACT_SLACK for x, y in zip(_weights(a), _weights(b))))
 
 
 def canonical_pairing(phi: StandardRegularMap,
@@ -455,28 +430,29 @@ def canonical_pairing(phi: StandardRegularMap,
     indices, psi's, psi's weights over phi's); None unless both have the
     same canonical source column."""
     a, b = phi.canonical(), psi.canonical()
-    if not np.array_equal(a.src, b.src):
+    if a.src != b.src:
         return None
-    return a.tgt, b.tgt, _exact(operator.truediv, _weights(b), _weights(a))
+    return a.tgt, b.tgt, [y / x for x, y in zip(_weights(a), _weights(b))]
 
 
 def _monomial(v: StandardPartialIsometry) -> tuple:
     """(perm, phase) of a total monomial: v sends i to perm[i] with phase
     phase[i]."""
     # pairs and phases both run over 1..n in order
-    return (np.array([0] + [j for _, j in v.pairs]),
-            np.array([1.0] + list(v.phases.values())))
+    return ((0, *(j for _, j in v.pairs)),
+            (1.0 + 0.0j, *v.phases.values()))
 
 
-def monomial(a: DigraphAlgebra, at: np.ndarray, to: np.ndarray,
-             phase: np.ndarray) -> StandardPartialIsometry:
+def monomial(a: DigraphAlgebra, at: Sequence, to: Sequence,
+             phase: Sequence) -> StandardPartialIsometry:
     """The monomial over a sending at[k] to to[k] with phase[k], and every
     other index to itself with phase 1."""
-    pairs, phases = np.arange(a.n + 1), np.ones(a.n + 1, dtype=complex)
-    pairs[at], phases[at] = to, phase
+    pairs, phases = list(range(a.n + 1)), [1.0 + 0.0j] * (a.n + 1)
+    for i, j, x in zip(at, to, phase):
+        pairs[i], phases[i] = j, x
     # phases is read by index, 1..n
     return StandardPartialIsometry(
-        a, zip(range(1, a.n + 1), pairs[1:].tolist()), phases.tolist())
+        a, zip(range(1, a.n + 1), pairs[1:]), phases)
 
 
 def conjugate_standard(phi: StandardRegularMap,
@@ -488,8 +464,9 @@ def conjugate_standard(phi: StandardRegularMap,
         raise ValueError("unitary is over the wrong algebra")
     perm, phase = _monomial(v)
     return StandardRegularMap(
-        phi.source, phi.target, phi.src, perm[phi.tgt], phi.piece,
-        _exact(operator.mul, _weights(phi), phase[phi.tgt]), phi.pieces)
+        phi.source, phi.target, phi.src, [perm[j] for j in phi.tgt],
+        phi.piece, [x * phase[j] for x, j in zip(_weights(phi), phi.tgt)],
+        phi.pieces)
 
 
 def apply_to_unitary(phi: StandardRegularMap,
@@ -507,16 +484,15 @@ def apply_to_unitary(phi: StandardRegularMap,
         raise ValueError("unitary is over the wrong algebra")
     perm, phase = _monomial(v)
     cls = phi.source.class_index
-    if any(cls(i) != cls(j) for i, j in zip(phi.src.tolist(),
-                                            perm[phi.src].tolist())):
+    if any(cls(i) != cls(perm[i]) for i in phi.src):
         raise ValueError("unitary does not preserve cstar classes")
     # v = sum phase_i e_{v(i), i}: the row of i gives the unit
     # e_{iota(v(i)), iota(i)}, iota(v(i)) read in the summand of i
-    key = phi.piece * (phi.source.n + 1)
-    at = (key + phi.src).searchsorted(key + perm[phi.src])
+    row = {pi: k for k, pi in enumerate(zip(phi.piece, phi.src))}
+    at = [row[p, perm[i]] for p, i in zip(phi.piece, phi.src)]
     w = _weights(phi)
-    return monomial(phi.target, phi.tgt, phi.tgt[at], _exact(
-        operator.mul, _exact(operator.mul, phase[phi.src], w[at]), w.conj()))
+    return monomial(phi.target, phi.tgt, [phi.tgt[k] for k in at], [
+        phase[i] * w[k] * x.conjugate() for i, k, x in zip(phi.src, at, w)])
 
 
 def strictify(phi: StandardRegularMap) -> tuple:
@@ -527,7 +503,8 @@ def strictify(phi: StandardRegularMap) -> tuple:
     """
     strict = StandardRegularMap(phi.source, phi.target, phi.src, phi.tgt,
                                 phi.piece, None, phi.pieces)
-    return strict, monomial(phi.target, phi.tgt, phi.tgt, _weights(phi).conj())
+    return strict, monomial(phi.target, phi.tgt, phi.tgt,
+                            [x.conjugate() for x in _weights(phi)])
 
 
 # ---------------------------------------------------------------------------
@@ -839,23 +816,21 @@ def to_numeric(phi) -> NumericStarMap:
     validated standard map, so no multiplicativity sweep runs; a strict
     map gets tolerance 0, a weighted one DENSE_FLOOR. An edge (i, j) lies
     in one class, which the same summands cover, so the k-th row at i and
-    the k-th row at j belong to one summand; one scatter writes them all.
+    the k-th row at j belong to one summand; one assignment writes them all.
     """
     if isinstance(phi, NumericStarMap):
         return phi
-    # the sorted edges, row-major, are the stack's rows in order
-    i, j = phi.source.support_mask().nonzero()
-    total = np.bincount(phi.src, minlength=phi.source.n + 1)
-    count, start = total[i + 1], total.cumsum() - total
-    order, at = phi.src.argsort(kind="stable"), _ranges(start[i + 1], count)
-    ri = order[at]
-    rj = order[at + (start[j + 1] - start[i + 1]).repeat(count)]
-    stack = np.zeros((len(i), phi.target.n, phi.target.n), dtype=complex)
-    # a strict map's coefficient is 1, as 1 times conj(1) is; adding 0.0,
+    # the sorted edges are the stack's rows in order
+    edges = phi.source.envelope_units()[0][:len(phi.source.edges)]
+    at, tgt, w = _rows_by_src(phi), phi.tgt, phi.weight
+    rows = [(p, a, b) for p, (i, j) in enumerate(edges)
+            for a, b in zip(at.get(i, ()), at.get(j, ()))]
+    stack = np.zeros((len(edges), phi.target.n, phi.target.n), dtype=complex)
+    # a strict map's coefficient is 1, as 1 times conj(1) is; adding 0j,
     # as to the zero entry a loop adds to, turns -0.0 parts into 0.0
-    stack[np.arange(len(i)).repeat(count), phi.tgt[ri] - 1,
-          phi.tgt[rj] - 1] = 1 if phi.weight is None else _exact(
-              operator.mul, phi.weight[ri], phi.weight[rj].conj()) + 0.0
+    stack[[p for p, _, _ in rows], [tgt[a] - 1 for _, a, _ in rows],
+          [tgt[b] - 1 for _, _, b in rows]] = (
+        1 if w is None else [w[a] * w[b].conjugate() + 0j for _, a, b in rows])
     return NumericStarMap(phi.source, phi.target, stack,
                           0.0 if phi.is_strict else DENSE_FLOOR)
 

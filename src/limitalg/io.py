@@ -185,15 +185,13 @@ def parse_algebra(doc, pointer: str, registry=None) -> DigraphAlgebra:
         rows = _as_list(d.get("edges", []), pointer + "/edges")
         if all(type(r) is list and len(r) == 2 and type(r[0]) is int
                and type(r[1]) is int for r in rows):
-            edges = set(map(tuple, rows))
+            edges = frozenset(map(tuple, rows))
         else:
             # the per-row check names the first bad row
-            edges = {_pair(r, f"{pointer}/edges/{k}")
-                     for k, r in enumerate(rows)}
-        # the rows are exact int pairs now, as the builder makes them, and
-        # inserted one by one as there, so a range error names the same edge
-        edges |= {(i, i) for i in range(1, n + 1)}
-        return _interned(n, frozenset(iter(edges)))
+            edges = frozenset(_pair(r, f"{pointer}/edges/{k}")
+                              for k, r in enumerate(rows))
+        # the rows are exact int pairs now, as the builder makes them
+        return _interned(n, edges | {(i, i) for i in range(1, n + 1)})
     if "tr" in d:
         t = _as_dict(d["tr"], pointer + "/tr")
         r = _as_int(t.get("r"), pointer + "/tr/r")
@@ -339,8 +337,7 @@ def encode_standard_map(phi: StandardRegularMap, algebras=None) -> dict:
     """The canonical summands; weights only on a piece that has some other
     than exactly 1, as the canonical form sets trivial pieces to 1."""
     can = phi.canonical()
-    cut, src, tgt = can.bounds(), can.src.tolist(), can.tgt.tolist()
-    w = None if can.weight is None else can.weight.tolist()
+    cut, src, tgt, w = can.bounds(), can.src, can.tgt, can.weight
     rows = []
     for a, b in zip(cut, cut[1:]):
         rows.append({"pairs": [list(p) for p in zip(src[a:b], tgt[a:b])]})

@@ -333,3 +333,42 @@ def test_cycle_flagged_classes_on_four_cycle():
     assert la.cycle_flagged_classes(a) == (0,)
     # the triangle T_3 is spanned by its transitivity triangle
     assert la.cycle_flagged_classes(la.tr_algebra(3)) == ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4),
+       st.lists(st.tuples(st.integers(-2, 6), st.integers(-2, 6)),
+                max_size=10))
+def test_out_of_range_edge_named_is_the_least(n, edges):
+    from limitalg import io as iolib
+    # -1 and -2 share a hash, so the set's iteration order depends on the
+    # order of insertion
+    edges = [(0, 0), (0, 2), (-1, 1), (-2, 1)] + edges
+    i, j = min(e for e in edges if not (1 <= e[0] <= n and 1 <= e[1] <= n))
+    want = f"edge ({i},{j}) out of range 1..{n}"
+    for rows in (edges, edges[::-1]):
+        for build in (lambda: la.build_digraph_algebra(n, rows),
+                      lambda: iolib.parse_algebra(
+                          {"n": n, "edges": [list(e) for e in rows]}, "")):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert type(err.value) is ValueError and str(err.value) == want
+
+
+def test_model_builders_make_python_int_edges():
+    i64 = np.int64
+    t2 = la.tr_algebra(2)
+    # the NumPy-int builds run first, so the interned instances are theirs
+    built = [la.tr_algebra(i64(2), i64(3)), la.full_matrix_algebra(i64(3)),
+             la.diagonal_algebra(i64(4)), la.tensor_model(t2, i64(2)),
+             la.direct_sum_algebra(t2, la.diagonal_algebra(i64(2)))]
+    plain = [la.tr_algebra(2, 3), la.full_matrix_algebra(3),
+             la.diagonal_algebra(4), la.tensor_model(t2, 2),
+             la.direct_sum_algebra(t2, la.diagonal_algebra(2))]
+    for a, b in zip(built, plain):
+        assert a is b and type(a.n) is int
+        assert all(type(i) is int and type(j) is int for i, j in a.edges)
+    for bad in (lambda: la.tr_algebra(2.0), lambda: la.diagonal_algebra(2.5),
+                lambda: la.tensor_model(t2, 1.0)):
+        with pytest.raises(TypeError):
+            bad()

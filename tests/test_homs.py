@@ -220,6 +220,38 @@ def test_table_matches_the_dict_implementation(seed, exact):
         assert m.class_multiset() == ref.class_multiset(ref.of(m))
 
 
+def _tuple_columns(phi) -> bool:
+    ints = all(type(c) is tuple and all(type(x) is int for x in c)
+               for c in (phi.src, phi.tgt, phi.piece))
+    return ints and (phi.weight is None or (
+        type(phi.weight) is tuple
+        and all(type(x) is complex for x in phi.weight)))
+
+
+def test_table_columns_are_tuples():
+    from limitalg import io as iolib
+    rng = np.random.default_rng(17)
+    a, t4 = la.full_matrix_algebra(2), la.full_matrix_algebra(4)
+    given = la.StandardRegularMap(
+        a, t4, np.array([2, 1, 2, 1]), np.array([4, 3, 2, 1]),
+        np.array([1, 1, 0, 0]), np.array([1, 1j, -1, 1]))
+    phi = random_standard_map(rng)
+    psi = random_standard_map(rng, source=phi.target)
+    v = random_monomial_unitary(rng, phi.target)
+    strict = la.strictify(phi)[0]
+    maps = [given, given.canonical(), phi, phi.canonical(),
+            la.compose(psi, phi), la.conjugate_standard(phi, v),
+            strict, la.direct_sum(phi, strict),
+            la.assemble_regular(phi.summands),
+            iolib.parse_map(iolib.encode_map(phi), ""),
+            iolib.parse_map(iolib.encode_map(given), "")]
+    assert given.weight is not None and phi.weight is not None
+    for m in maps:
+        assert _tuple_columns(m), m
+    s = given.summands[0]
+    assert type(s(1)) is int and type(s.weight(1)) is complex
+
+
 def test_only_homs_reads_the_table_layout():
     private = {name for cls in (la.StandardRegularMap, la.MultiplicityOneMap)
                for name in cls.__slots__ if name.startswith("_")}

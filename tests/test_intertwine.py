@@ -228,3 +228,20 @@ def test_approx_intertwine_mode_check():
     with pytest.raises(UsageError):
         la.CrossoverDiagram(d.top, d.bottom, d.alphas, d.betas,
                             mode="sloppy")
+
+
+def test_exact_intertwine_rejects_a_wrong_witness(monkeypatch):
+    # a block-preserving witness that does not carry its map onto the
+    # connector fails the one exact check of the corrected triangle
+    from limitalg import conjugacy
+    from limitalg.errors import InternalError
+
+    def reversing(phi1, phi2, u=None):
+        a = phi2.target
+        return la.StandardPartialIsometry(
+            a, {i: j for blk in a.blocks for i, j in zip(blk, blk[::-1])})
+
+    d = twisted_refinement_diagram(np.random.default_rng(5), stages=3)
+    monkeypatch.setattr(conjugacy, "standard_witness", reversing)
+    with pytest.raises(InternalError, match="restandardization"):
+        la.exact_intertwine(d)

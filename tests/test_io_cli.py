@@ -14,7 +14,8 @@ import limitalg as la
 from limitalg import conjugacy, detect, io as iolib
 from limitalg.cli import main, run_command
 from limitalg.dimmod import MonotoneMap
-from limitalg.errors import DanglingReference, SchemaError, UsageError
+from limitalg.errors import (DanglingReference, LimitalgError, SchemaError,
+                             UsageError)
 
 from conftest import assemble_band_map, uhf_system
 
@@ -885,3 +886,49 @@ def test_cli_detect_on_a_long_zigzag_poset(tmp_path, capsys):
     assert report["residual_rank"] == 0 and report["total_rank"] == n
     assert [row["multiplicity"] for row in report["classes"]] == [1]
     assert report["threshold"] == 1 / (2 * (n - 1) + 1)
+
+
+# standard map documents under fuzzing: odd pairs and weights, bools,
+# floats, huge ints and junk give a map or a typed error, never a crash
+
+# one branch wherever it is mixed in (a nested one_of would be flattened)
+_junk = st.deferred(lambda: st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(-2 ** 70, 2 ** 70),
+    st.text(max_size=2), st.just([]), st.just({})))
+_index = st.one_of(st.integers(-1, 6), _junk)
+_value = st.one_of(st.integers(-2, 2), st.floats(-2, 2),
+                   st.sampled_from([[0, 1], [0.6, -0.8], [1, 0, 0], [True, 0],
+                                    [10 ** 400, 0], 10 ** 400]), _junk)
+_int_rows = st.one_of(st.sampled_from([[1, 1], [2, 2], [1, 3], [2, 4]]),
+                      st.lists(st.integers(-1, 6), min_size=2, max_size=2))
+_fuzz_rows = st.one_of(_int_rows, st.lists(_index, max_size=3), _junk)
+_fuzz_summand = st.one_of(
+    st.fixed_dictionaries(
+        {"pairs": st.lists(_int_rows, max_size=4)},
+        optional={"weights": st.lists(
+            st.tuples(st.integers(0, 3), _value).map(list), max_size=3)}),
+    st.fixed_dictionaries(
+        {"pairs": st.one_of(st.lists(_fuzz_rows, max_size=4), _junk)},
+        optional={"weights": st.one_of(st.lists(st.one_of(
+            st.tuples(_index, _value).map(list), st.lists(_index, max_size=3),
+            _junk), max_size=3), _junk)}),
+    st.sampled_from([{"pairs": [[1, 1], [2, 2]]},
+                     {"pairs": [[1, 3], [2, 4]],
+                      "weights": [[1, [0, 1]], [2, -1]]}]),
+    _junk)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([{"full": 2}, {"tr": {"r": 2}}, {"diagonal": 2}]),
+       st.sampled_from([{"full": 4}, {"tr": {"r": 2, "size": 2}},
+                        {"diagonal": 4}]),
+       st.one_of(st.lists(_fuzz_summand, max_size=3), _junk))
+def test_standard_map_documents_parse_or_fail_typed(source, target, rows):
+    doc = {"type": "standard", "source": source, "target": target,
+           "summands": rows}
+    try:
+        phi = iolib.parse_map(doc, "")
+    except (LimitalgError, ValueError):
+        return
+    assert isinstance(phi, la.StandardRegularMap)
+    assert phi.source is iolib.parse_algebra(source, "")
