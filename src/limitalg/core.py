@@ -82,12 +82,13 @@ class DigraphAlgebra:
 
     __slots__ = ("graph", "blocks", "cstar_classes", "class_trees", "reduced",
                  "_block_of", "_class_of", "_block_of_block", "_neighbours",
-                 "_mask", "_units", "__weakref__")
+                 "_mask", "_units", "_layout", "__weakref__")
 
     def __init__(self, graph: Digraph):
         self.graph = graph
         self._mask = None
         self._units = None
+        self._layout = None
         n, edges = graph.n, graph.edges
         adj = [set() for _ in range(n + 1)]
         for (i, j) in edges:
@@ -213,9 +214,63 @@ class DigraphAlgebra:
             self._units = (tuple(units), row)
         return self._units
 
+    def block_layout(self) -> "BlockLayout":
+        """0-based index arrays of the blocks and of the C*-classes, for
+        gathers over all of them at once; built on first use and shared
+        by every caller."""
+        if self._layout is None:
+            self._layout = BlockLayout(_partition(self.n, self.blocks),
+                                       _partition(self.n, self.cstar_classes))
+        return self._layout
+
     def __repr__(self) -> str:
         return (f"DigraphAlgebra(n={self.n}, blocks={len(self.blocks)}, "
                 f"classes={len(self.cstar_classes)})")
+
+
+@dataclass(frozen=True)
+class Partition:
+    """A partition of the 0-based indices 0..n-1 into parts, as read-only
+    arrays.
+
+    of[i] is the part of index i; parts[p] lists part p ascending;
+    padded[p] is parts[p] left-aligned and padded with index 0 to the
+    largest part's size, and real is False exactly on the padding;
+    indicator[i, p] is 1.0 when index i lies in part p, else 0.0.
+    """
+
+    of: np.ndarray
+    parts: tuple
+    padded: np.ndarray
+    real: np.ndarray
+    indicator: np.ndarray
+
+
+def _partition(n: int, parts: Sequence) -> Partition:
+    width = max(map(len, parts))
+    of = np.empty(n, dtype=int)
+    padded = np.zeros((len(parts), width), dtype=int)
+    real = np.zeros((len(parts), width), dtype=bool)
+    arrays = []
+    for p, part in enumerate(parts):
+        idx = np.array(part, dtype=int) - 1
+        of[idx] = p
+        padded[p, :len(idx)] = idx
+        real[p, :len(idx)] = True
+        idx.setflags(write=False)
+        arrays.append(idx)
+    indicator = (of[:, None] == np.arange(len(parts))).astype(float)
+    for a in (of, padded, real, indicator):
+        a.setflags(write=False)
+    return Partition(of, tuple(arrays), padded, real, indicator)
+
+
+@dataclass(frozen=True)
+class BlockLayout:
+    """The blocks and the C*-classes of an algebra as Partitions."""
+
+    blocks: Partition
+    classes: Partition
 
 
 # Built algebras by (n, edges), held weakly: an algebra is immutable, only
@@ -354,7 +409,7 @@ class StandardPartialIsometry:
             ph = {}
             for i in self._map:
                 lam = complex(phases.get(i, 1.0) if keyed else phases[i])
-                if abs(abs(lam) - 1.0) > EXACT_SLACK:
+                if not abs(abs(lam) - 1.0) <= EXACT_SLACK:
                     raise ValueError(f"phase at {i} is not unimodular")
                 ph[i] = lam
             self._phase = ph

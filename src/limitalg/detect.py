@@ -124,15 +124,16 @@ def _product_for_blocks(phi: NumericStarMap, word: TestWord,
     k, the dense product m_1 E_1 m_2 E_2 ... m_L E_L is zero outside the
     columns T_L and equals m_1[:, T_1] @ m_2[T_1, T_2] @ ... @
     m_L[T_{L-1}, T_L] on them, so this block-slice product has the same
-    nonzero singular values.
+    nonzero singular values. The slices gather by the target's block index
+    arrays.
     """
-    blocks = phi.target.blocks
+    parts = phi.target.block_layout().blocks.parts
     bi = phi.source.block_index
     out = rows = None
     for tok in word.tokens:
         m = _token_matrix(phi, tok)
-        cols = [i - 1 for i in blocks[block_map[bi(_right_index(tok))]]]
-        out = m[:, cols] if out is None else out @ m[np.ix_(rows, cols)]
+        cols = parts[block_map[bi(_right_index(tok))]]
+        out = m[:, cols] if out is None else out @ m[rows[:, None], cols]
         rows = cols
     return out
 
@@ -148,21 +149,34 @@ def _allowed_targets(phi: NumericStarMap, word: TestWord) -> dict:
     The rank matrix is not used to prune: it rounds block traces to
     integers, which bounds the test products only for maps validated at
     small tolerances.
+
+    The column sums of squares of all tokens go to all target blocks in
+    one product with the blocks' indicator matrix, which may add in
+    another order than a loop over blocks, so a bound can differ from the
+    loop's in its last bits. That cannot change the census: a bound within
+    rounding of _PRUNE_CUT = SV_CUT (1 - 1e-9) bounds singular values
+    below SV_CUT in either order, so a target kept in one order and
+    dropped in the other scores rank 0, and only block maps of rank >= 1
+    enter found, residual_rank and total_rank. Only the count of
+    candidates that CapacityExceeded caps can move by such a target.
     """
     bi = phi.source.block_index
-    mats = [_token_matrix(phi, tok) for tok in word.tokens]
-    colsq = [np.sum(np.abs(m) ** 2, axis=0) for m in mats]
-    fro = [math.sqrt(float(c.sum())) for c in colsq]
-    blocks = [[i - 1 for i in blk] for blk in phi.target.blocks]
+    at = phi.source.envelope_units()[1]
+    tokens = word.tokens
+    sq = np.abs(phi.stack[[at[a, b] for a, b, _ in tokens]]) ** 2
+    # a starred token's columns are the conjugated rows of its image
+    star = np.array([st for _, _, st in tokens])[:, None]
+    colsq = np.where(star, sq.sum(axis=2), sq.sum(axis=1))
+    fro = np.sqrt(colsq.sum(axis=1)).tolist()
+    others = [math.prod(fro[:k]) * math.prod(fro[k + 1:])
+              for k in range(len(tokens))]
+    keep = (np.sqrt(colsq @ phi.target.block_layout().blocks.indicator)
+            * np.array(others)[:, None] > _PRUNE_CUT)
     allowed = {}
-    for k, tok in enumerate(word.tokens):
-        others = math.prod(fro[:k]) * math.prod(fro[k + 1:])
-        keep = {t for t, cols in enumerate(blocks)
-                if math.sqrt(float(colsq[k][cols].sum())) * others
-                > _PRUNE_CUT}
+    for tok, row in zip(tokens, keep):
         r = bi(_right_index(tok))
-        allowed[r] = allowed[r] & keep if r in allowed else keep
-    return {r: sorted(ts) for r, ts in allowed.items()}
+        allowed[r] = allowed[r] & row if r in allowed else row
+    return {r: np.flatnonzero(row).tolist() for r, row in allowed.items()}
 
 
 def _norm_and_rank(m: np.ndarray) -> tuple:

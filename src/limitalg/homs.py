@@ -32,7 +32,8 @@ from .core import (DigraphAlgebra, RankMatrix, StandardPartialIsometry,
 from .errors import (BlockPartial, CapacityExceeded, EdgeIncompatible,
                      ImageOverlap, NotInjective, NotInRange, NotMultiplicative,
                      NotStarConsistent, ShapeMismatch, SourceTargetMismatch)
-from .tolerance import DEFAULT_TOL, DENSE_FLOOR, EXACT_SLACK, ROUNDING_MARGIN
+from .tolerance import (DEFAULT_TOL, DENSE_FLOOR, EXACT_SLACK,
+                        PRODUCT_ROUNDING, ROUNDING_MARGIN)
 
 # full multiplicativity sweeps are quadratic in envelope units; above this
 # many pairs validation raises CapacityExceeded
@@ -160,9 +161,10 @@ class StandardRegularMap:
     raises the first broken invariant, summand by summand in order, each
     at its first witness: range, injectivity and one row per source index,
     row by row as given; edges; the least class met and not covered; the
-    first weight that is not unimodular. Last it names the first summand
-    whose image meets an earlier one, at the least such index. Edges are
-    decided on blocks, as the edge set is the blow-up of the reduced one:
+    first weight that is not unimodular, NaN included. Last it names the
+    first summand whose image meets an earlier one, at the least such
+    index. Edges are decided on blocks, as the edge set is the blow-up of
+    the reduced one:
     a summand preserves edges exactly when it sends each source block r
     into one target block tau(r), and each reduced edge (r, q) it meets to
     a reduced edge (tau(r), tau(q)). Only on failure are the sorted source
@@ -217,7 +219,7 @@ class StandardRegularMap:
                 if hits[c] != len(source.cstar_classes[c]):
                     raise BlockPartial(source.cstar_classes[c])
             for k in rows[p] if w is not None else ():
-                if abs(abs(w[k]) - 1.0) > EXACT_SLACK:
+                if not abs(abs(w[k]) - 1.0) <= EXACT_SLACK:
                     raise ValueError(f"phase at {s[k]} is not unimodular")
         if len(set(t)) < len(t):
             owner = {}
@@ -564,37 +566,46 @@ class NumericStarMap:
         return self._env
 
     def rank_matrix(self) -> RankMatrix:
-        # diagonals of the images of e_11, ..., e_nn; each block trace is
-        # summed index by index, as a per-image loop would
-        diag = self.stack.diagonal(axis1=1, axis2=2).real[
-            [i == j for i, j in self.images]]
-        return RankMatrix(tuple(
-            tuple(int(round(t)) for t in sum(diag[:, b - 1] for b in blk))
-            for blk in self.target.blocks))
+        """Entry (r, j): the trace of the image of e_jj on target block r,
+        rounded. Each block trace is summed index by index, as a per-image
+        loop would: the padded gather adds exact zeros after a block's
+        indices, and cumsum adds left to right."""
+        s, row = self.source.n, self.source.envelope_units()[1]
+        blocks = self.target.block_layout().blocks
+        j = np.arange(1, s + 1)
+        diag = self.stack[row[j, j]].diagonal(axis1=1, axis2=2).real
+        terms = np.where(blocks.real, diag[:, blocks.padded], 0.0)
+        traces = np.cumsum(terms, axis=2)[:, :, -1]
+        return RankMatrix(tuple(map(tuple,
+                                    np.rint(traces).astype(int).T.tolist())))
 
     def __repr__(self) -> str:
         return (f"NumericStarMap({self.source.n} -> {self.target.n}, "
                 f"tol={self.tolerance:g})")
 
 
-def _envelope_extension(env: np.ndarray, source: DigraphAlgebra) -> None:
-    """Fill the non-edge rows of an envelope stack in place.
+def _envelope_extension(env: np.ndarray, source: DigraphAlgebra
+                        ) -> np.ndarray:
+    """Fill the non-edge rows of an envelope stack in place, and return
+    the tree products.
 
     env is a (u, n, n) stack in the order of source.envelope_units() whose
     edge rows hold the edge images. Products along the class tree from its
-    root define e_{root, x}; then e_xy = e_{root,x}* e_{root,y}.
+    root define R_x = e_{root,x}, returned as an (s, n, n) stack in source
+    index order; then e_xy = R_x* R_y.
     """
     units, row = source.envelope_units()
-    reach = {}
+    reach = np.empty((source.n,) + env.shape[1:], dtype=complex)
     for cls, tree in zip(source.cstar_classes, source.class_trees):
-        reach[cls[0]] = env[row[cls[0], cls[0]]]
+        reach[cls[0] - 1] = env[row[cls[0], cls[0]]]
         for p, c in tree:
             step = (env[row[p, c]] if source.has_edge(p, c)
                     else env[row[c, p]].conj().T)
-            reach[c] = reach[p] @ step
+            reach[c - 1] = reach[p - 1] @ step
     for k in range(len(source.edges), len(units)):
         i, j = units[k]
-        env[k] = reach[i].conj().T @ reach[j]
+        env[k] = reach[i - 1].conj().T @ reach[j - 1]
+    return reach
 
 
 def _residual_over(x: np.ndarray, tol: float) -> Optional[float]:
@@ -617,36 +628,65 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
 
     images are keyed by exactly the source edges, with finite entries, and
     tol is finite and nonnegative. Raises the first violated identity with
-    its residual. The multiplicativity sweep runs over all u^2 pairs of
-    the u envelope matrix units; when u^2 exceeds _SWEEP_CAP, the star and
-    range checks still run and then CapacityExceeded is raised. Every
-    residual X is gated on ||X||_2 > tol; since ||X||_2 <= ||X||_F, one
-    whose Frobenius norm is within tol passes without an SVD, and a raised
-    error carries the spectral residual.
+    its residual. Multiplicativity is ||E_a E_b - [j = k] E_il||_2 <= tol
+    for every pair a = e_ij, b = e_kl of the u envelope matrix units; when
+    u^2 exceeds _SWEEP_CAP, the star and range checks still run and then
+    CapacityExceeded is raised. Every residual X is gated on ||X||_2 > tol;
+    since ||X||_2 <= ||X||_F, one whose Frobenius norm is within tol passes
+    without an SVD, and a raised error carries the spectral residual.
 
-    Exactness. Each check takes the Frobenius norms of all its residuals
-    in one batch, flags those above tol (1 - 1e-9) - delta, and recomputes
+    Generator check. The units come from the class trees: R_x is the tree
+    product from the root r of x's class (R_r = P_r, the image of e_rr),
+    and a non-edge unit is E_xy = R_x* R_y. Three residual families are
+    formed, in Frobenius norm, from |E| + s + s^2 block products (s the
+    source size):
+    - Z_jk = R_j R_k* - [j = k] P_r(j), all j, k, across classes too;
+    - rho_l = P_r(l) R_l - R_l;
+    - Delta_a = E_a - R_i* R_j for each given edge a = e_ij: the given
+      unit equals its tree value.
+    With Delta_a = E_a - R_i* R_j for every unit, exactly
+      E_ij E_kl - [j = k] E_il = R_i* Z_jk R_l + [j = k] R_i* rho_l
+          + Delta_ij E_kl + R_i* R_j Delta_kl - [j = k] Delta_il.
+    Let c = PRODUCT_ROUNDING n eps; a computed product AB is within
+    c ||A||_F ||B||_F of the exact one. With nu and mu the largest
+    Frobenius norms of the R_x and of the units, and zeta, rho, delta the
+    largest computed residuals, each raised by c times the norms of the
+    product that formed it (a derived unit's delta is c nu^2, the rounding
+    that formed it), every pair residual is at most
+      B = nu^2 zeta + nu rho + delta (2 mu + delta + 1) + c mu^2,
+    the last term the rounding of the product a per-pair check forms. The
+    map is accepted when B <= tol (1 - 1e-9); the margin covers the
+    relative roundings of the norms, the subtractions and the SVD. So a
+    map accepted here is one the sweep accepts, with the same envelope;
+    every other map goes to the sweep, which decides the verdict, the pair
+    named and the residual bits. The bound has no depth factor and no
+    square root, as it measures the tree products themselves: the
+    residuals d of v*v - p_c and vv* - p_p of one tree edge would bound
+    the pair residuals only by sqrt(d) (v = e_12 + sqrt(d) e_33 on T_2
+    into M_3 has e_11 v - v = -sqrt(d) e_33), which at rounding level,
+    d ~ 1e-16, is above the default tol.
+
+    Sweep. Each check takes the Frobenius norms of all its residuals in
+    one batch, flags those above tol (1 - 1e-9) - delta, and recomputes
     only the flagged ones with the per-item expression, in the per-item
     order; so the verdict, the item named and the residual bits are those
     of a per-item loop. Star and range residuals are formed entry for entry
     as in that loop, so delta = 0. For a product E_a E_b the batch may sum
-    in another order, and two such products of inner dimension <= n differ
-    entrywise by at most 2 sqrt(2) gamma_2n |E_a||E_b| (Higham, Accuracy
-    and Stability of Numerical Algorithms, 3.5), whose Frobenius norm is
-    below delta_ab = 8 n eps ||E_a||_F ||E_b||_F, eps = 2^-52. The other
-    roundings (subtraction, norms, SVD) are relative and far below the 1e-9
-    margin, so a pair the per-pair loop rejects is always flagged. At
-    tol = 0 every pair with nonzero norms is recomputed.
+    in another order, and two such products differ by at most
+    delta_ab = 2 c ||E_a||_F ||E_b||_F. The other roundings (subtraction,
+    norms, SVD) are relative and far below the 1e-9 margin, so a pair the
+    per-pair loop rejects is always flagged. At tol = 0 every pair with
+    nonzero norms is recomputed.
 
     Cost. When every envelope image is exactly zero off the diagonal
     blocks of the target's C*-classes, so is every product and residual,
-    and the sweep multiplies only those blocks: u^2 sum_B m_B^3 flops for
-    u envelope units and blocks of sizes m_B, against u^2 n^3 pair by pair,
-    as one gemm per block in chunks of bounded size (_CHUNK_BYTES).
-    Otherwise it multiplies one block of all n indices. The images are
-    copied once, into the leading rows of the envelope stack; the stack
-    becomes the envelope of the map returned, and its leading rows the
-    map's stack.
+    and both checks multiply only those blocks, all at once in the
+    generator check: (|E| + s + s^2) sum_B m_B^3 flops for blocks of sizes
+    m_B, against u^2 sum_B m_B^3 for the sweep, which runs as one gemm per
+    block in chunks of bounded size (_CHUNK_BYTES). Otherwise they multiply
+    one block of all n indices. The images are copied once, into the
+    leading rows of the envelope stack; the stack becomes the envelope of
+    the map returned, and its leading rows the map's stack.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
@@ -707,14 +747,14 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
             f"the multiplicativity sweep over {len(units)} envelope units "
             f"needs {len(units) ** 2} pairs, above the cap of {_SWEEP_CAP}",
             units=len(units), pairs=len(units) ** 2, cap=_SWEEP_CAP)
-    _envelope_extension(stack, source)
+    reach = _envelope_extension(stack, source)
     stack.setflags(write=False)
-    cls = np.array([target.class_index(i) for i in range(1, target.n + 1)])
-    if ((stack != 0) & (cls[:, None] != cls)).any():
-        blocks = [np.arange(target.n)]
-    else:
-        blocks = [np.array(c) - 1 for c in target.cstar_classes]
-    _sweep_products(source, stack, blocks, tol)
+    classes = target.block_layout().classes
+    part = (None if ((stack != 0) & (classes.of[:, None] != classes.of)).any()
+            else classes)
+    if not _generator_bound(source, stack, reach, part) <= cut:
+        _sweep_products(source, stack, [np.arange(target.n)]
+                        if part is None else list(part.parts), tol)
 
     out = NumericStarMap(source, target, given, tol)
     out._env = stack
@@ -735,6 +775,64 @@ def _frob2(x: np.ndarray) -> np.ndarray:
 def _flagged(sq: np.ndarray, cut) -> Iterable:
     """Index tuples, row-major, where sqrt(sq) is not <= cut (NaN is)."""
     return zip(*np.nonzero(~(np.sqrt(sq) <= cut)))
+
+
+def _class_blocks(x: np.ndarray, part) -> np.ndarray:
+    """x (k, n, n) as (k, P, w, w): its diagonal blocks on the parts of a
+    Partition, zero on the padding; with part None, one block of all n."""
+    if part is None:
+        return x[:, None]
+    out = x[:, part.padded[:, :, None], part.padded[:, None, :]]
+    if not part.real.all():
+        out[:, ~(part.real[:, :, None] & part.real[:, None, :])] = 0
+    return out
+
+
+def _chunked_frob2(residual, count: int, item_bytes: int) -> np.ndarray:
+    """_frob2 of residual(a, b) over chunks [a, b) of range(count), each
+    about _CHUNK_BYTES, concatenated."""
+    step = max(1, _CHUNK_BYTES // max(1, item_bytes))
+    return np.concatenate([_frob2(residual(a, min(a + step, count)))
+                           for a in range(0, count, step)])
+
+
+def _generator_bound(source: DigraphAlgebra, stack: np.ndarray,
+                     reach: np.ndarray, part) -> float:
+    """The bound B of validate_numeric on every pair residual of the
+    envelope stack, from its tree products reach, on the blocks of part
+    (a Partition of the target indices, or None for one block)."""
+    n, ne, s = stack.shape[1], len(source.edges), source.n
+    cls = source.block_layout().classes
+    root = cls.padded[cls.of, 0]
+    r = _class_blocks(reach, part)
+    g = _class_blocks(stack[:ne], part)
+    nb, w = r.shape[1], r.shape[2]
+    rn = np.sqrt(_frob2(r))
+    # the row Gram R_j R_k*, block by block, a chunk of rows j at a time
+    rows = r.transpose(1, 0, 2, 3).reshape(nb, s * w, w)
+    cols = rows.conj().transpose(0, 2, 1)
+
+    def gram(a, b):
+        z = (rows[:, a * w:b * w] @ cols).reshape(nb, b - a, w, s, w)
+        d = np.arange(b - a)
+        z[:, d, :, a + d, :] -= r[root[a:b]]
+        return z.transpose(1, 3, 0, 2, 4).reshape((b - a) * s, nb, w, w)
+
+    # item sizes in bytes count each chunk's product and its temporaries
+    z = np.sqrt(_chunked_frob2(gram, s, 32 * s * nb * w * w)).reshape(s, s)
+    rho = np.sqrt(_chunked_frob2(
+        lambda a, b: r[root[a:b]] @ r[a:b] - r[a:b], s, 48 * nb * w * w))
+    ei, ej = np.array(source.envelope_units()[0][:ne]).T - 1
+    tau = np.sqrt(_chunked_frob2(
+        lambda a, b: r[ei[a:b]].conj().swapaxes(2, 3) @ r[ej[a:b]] - g[a:b],
+        ne, 80 * nb * w * w))
+    c = PRODUCT_ROUNDING * n * np.finfo(float).eps
+    nu, mu = rn.max(), np.sqrt(_frob2(stack).max())
+    zeta = (z + c * np.outer(rn, rn)).max()
+    rho = (rho + c * rn[root] * rn).max()
+    delta = max((tau + c * rn[ei] * rn[ej]).max(), c * nu * nu)
+    return (nu * nu * zeta + nu * rho + delta * (2 * mu + delta + 1)
+            + c * mu * mu)
 
 
 def _sweep_products(source: DigraphAlgebra, stack: np.ndarray, blocks: list,
@@ -783,7 +881,8 @@ def _sweep_products(source: DigraphAlgebra, stack: np.ndarray, blocks: list,
                     t - (a0, b0, 0), sb)
     eps = np.finfo(float).eps
     norms = np.sqrt(_frob2(stack))[li]
-    cut = tol * ROUNDING_MARGIN - 8 * stack.shape[1] * eps * np.outer(norms, norms)
+    cut = tol * ROUNDING_MARGIN - (2 * PRODUCT_ROUNDING * stack.shape[1]
+                                   * eps * np.outer(norms, norms))
     for p, q in _flagged(sq, cut):
         (i, j), (k, l) = srt[p], srt[q]
         prod = stack[li[p]] @ stack[li[q]]

@@ -21,6 +21,13 @@ what the exact one rejects. SV_CUT (1/2) splits the singular values of a
 test product, which are 0 or 1 for a regular map: each above it counts a
 summand, and a candidate is present when it counts one on every class it
 covers.
+PRODUCT_ROUNDING (4) bounds the rounding of one computed complex matrix
+product of inner dimension n, in any summation order: it is within
+PRODUCT_ROUNDING n eps ||A||_F ||B||_F of the exact AB in Frobenius norm,
+eps = 2^-52, as entrywise |fl(AB) - AB| <= sqrt(2) gamma_2n |A||B|
+(Higham, Accuracy and Stability of Numerical Algorithms, 3.5) and
+gamma_2n = 2n eps / (2 - 2n eps) stays below 1.01 n eps for every n below
+2^44; two such products differ by at most twice that.
 """
 
 DEFAULT_TOL = 1e-9
@@ -28,6 +35,7 @@ EXACT_SLACK = 1e-12
 DENSE_FLOOR = 1e-12
 ROUNDING_MARGIN = 1 - 1e-9
 SV_CUT = 0.5
+PRODUCT_ROUNDING = 4
 
 
 def map_tolerance(phi) -> float:

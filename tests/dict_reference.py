@@ -40,7 +40,7 @@ def reference_multiplicity_one(iota, source, target, phases=None):
         return dict(sorted(imap.items())), None
     w = {i: complex(phases.get(i, 1.0)) for i in imap}
     for i, lam in w.items():
-        if abs(abs(lam) - 1.0) > 1e-12:
+        if not abs(abs(lam) - 1.0) <= 1e-12:
             raise ValueError(f"phase at {i} is not unimodular")
     return dict(sorted(imap.items())), w
 

@@ -234,6 +234,29 @@ def test_envelope_units_built_once_and_read_only():
         row[1, 1] = 0
 
 
+def test_block_layout_built_once_and_read_only():
+    v = la.build_digraph_algebra(3, [(1, 1), (2, 2), (3, 3), (1, 3), (2, 3)])
+    a = la.direct_sum_algebra(la.tr_algebra(2, 2), v, la.diagonal_algebra(1))
+    layout = a.block_layout()
+    assert a.block_layout() is layout
+    for part, groups in ((layout.blocks, a.blocks),
+                         (layout.classes, a.cstar_classes)):
+        assert [p.tolist() for p in part.parts] == [
+            [i - 1 for i in g] for g in groups]
+        assert part.of.tolist() == [
+            next(p for p, g in enumerate(groups) if i in g)
+            for i in range(1, a.n + 1)]
+        for p, g in enumerate(groups):
+            assert part.padded[p][part.real[p]].tolist() == [i - 1 for i in g]
+            assert part.indicator[:, p].tolist() == [
+                1.0 if i in g else 0.0 for i in range(1, a.n + 1)]
+        assert not part.real.all()
+        for arr in (part.of, part.padded, part.real, part.indicator,
+                    *part.parts):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 def test_interned_algebras_and_failed_builds():
     import gc
     from limitalg import core

@@ -2,6 +2,7 @@
 regularity decision, and close-conjugacy witnesses."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -355,6 +356,55 @@ def _copies_map(r, copies, used):
     pieces = [la.validate_multiplicity_one(
         {i: q * r + i for i in range(1, r + 1)}, src, tgt) for q in used]
     return la.to_numeric(la.assemble_regular(pieces, source=src, target=tgt))
+
+
+def _loop_allowed_targets(phi, word):
+    """_allowed_targets as a loop over tokens and target blocks, kept as
+    the oracle for the one-product version."""
+    bi = phi.source.block_index
+    mats = [detect._token_matrix(phi, tok) for tok in word.tokens]
+    colsq = [np.sum(np.abs(m) ** 2, axis=0) for m in mats]
+    fro = [math.sqrt(float(c.sum())) for c in colsq]
+    blocks = [[i - 1 for i in blk] for blk in phi.target.blocks]
+    allowed = {}
+    for k, tok in enumerate(word.tokens):
+        others = math.prod(fro[:k]) * math.prod(fro[k + 1:])
+        keep = {t for t, cols in enumerate(blocks)
+                if math.sqrt(float(colsq[k][cols].sum())) * others
+                > detect._PRUNE_CUT}
+        r = bi(detect._right_index(tok))
+        allowed[r] = allowed[r] & keep if r in allowed else keep
+    return {r: sorted(ts) for r, ts in allowed.items()}
+
+
+def _census_fields(phi):
+    try:
+        census = la.summand_census(phi)
+    except InconsistentRanks as exc:
+        return "InconsistentRanks", exc.data
+    return census.classes, census.residual_rank, census.total_rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.floats(0.2, 1.5))
+def test_allowed_targets_match_the_block_loop(seed, scale):
+    """Same allowed sets and census as the per-block loop, on maps into
+    targets of several blocks, scaled so that the bound crosses the cut."""
+    rng = np.random.default_rng(seed)
+    phi = random_standard_map(rng, n_max=4, copies=int(rng.integers(2, 4)),
+                              pad=int(rng.integers(0, 3)))
+    h = random_block_hermitian(rng, phi.target)
+    moved = la.conjugate_numeric(unitary_exp(h, 1.0), la.to_numeric(phi))
+    num = la.NumericStarMap(phi.source, phi.target, moved.stack * scale,
+                            moved.tolerance)
+    for c in range(len(num.source.cstar_classes)):
+        word = la.test_word(num.source, c)
+        assert (detect._allowed_targets(num, word)
+                == _loop_allowed_targets(num, word))
+    got = _census_fields(num)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(detect, "_allowed_targets", _loop_allowed_targets)
+        assert _census_fields(num) == got
 
 
 def test_census_scores_only_candidates_above_the_bound(monkeypatch):

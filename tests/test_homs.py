@@ -114,6 +114,15 @@ def test_block_validation_matches_per_edge_scan(seed, kind):
     assert got == want
 
 
+def test_nan_weight_is_not_unimodular():
+    d = la.diagonal_algebra(1)
+    for nan in (float("nan"), complex(1.0, float("nan"))):
+        with pytest.raises(ValueError, match="phase at 1 is not unimodular"):
+            la.validate_multiplicity_one({1: 1}, d, d, phases={1: nan})
+        with pytest.raises(ValueError, match="phase at 1 is not unimodular"):
+            la.StandardPartialIsometry(d, {1: 1}, {1: nan})
+
+
 def test_edge_incompatible_names_the_least_failing_pair():
     # every edge among the three bands fails; (1, 2) is the least
     a = la.tr_algebra(3)
@@ -701,25 +710,108 @@ def test_batched_validation_matches_per_item_loop(seed, factor, kind, case):
     assert got == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([1e-12, 1e-8, 1e-4, 1e-1]),
+       st.booleans())
+def test_generator_bound_covers_every_pair_residual(seed, size, off_block):
+    """The bound is at least every pair residual of the envelope, on maps
+    moved anywhere, star, range and block structure included."""
+    rng = np.random.default_rng(seed)
+    phi, images = _multi_block_images(rng)
+    src, tgt = phi.source, phi.target
+    images = _conjugated(_block_unitary(rng, tgt), images)
+    classes = tgt.block_layout().classes
+    within = classes.of[:, None] == classes.of
+    for key in sorted(images):
+        if rng.random() < 0.5:
+            y = rng.normal(size=(tgt.n, tgt.n)) * (within | off_block)
+            images[key] = images[key] + size * rng.random() * y
+    units, row = src.envelope_units()
+    stack = np.zeros((len(units), tgt.n, tgt.n), dtype=complex)
+    for k, e in enumerate(units[:len(src.edges)]):
+        stack[k] = images[e]
+    reach = homs._envelope_extension(stack, src)
+    part = None if (stack * ~within).any() else classes
+    bound = homs._generator_bound(src, stack, reach, part)
+    worst = max(
+        la.operator_norm(stack[row[i, j]] @ stack[row[k, l]]
+                         - (stack[row[i, l]] if j == k else 0))
+        for (i, j), (k, l) in itertools.product(units, units))
+    assert worst <= bound
+
+
 def test_sweep_splits_exactly_block_diagonal_targets_only(monkeypatch):
+    # the generator check runs on every map below the cap and takes the
+    # block split the sweep takes
     seen = []
-    sweep = homs._sweep_products
+    bound = homs._generator_bound
 
-    def spy(source, stack, blocks, *rest):
-        seen.append(len(blocks))
-        return sweep(source, stack, blocks, *rest)
+    def spy(source, stack, reach, part):
+        seen.append(1 if part is None else len(part.parts))
+        return bound(source, stack, reach, part)
 
-    monkeypatch.setattr(homs, "_sweep_products", spy)
+    monkeypatch.setattr(homs, "_generator_bound", spy)
     rng = np.random.default_rng(5)
     phi, images = _multi_block_images(rng)
     images = _conjugated(_block_unitary(rng, phi.target), images)
     la.validate_numeric(images, phi.source, phi.target)
     assert seen == [len(phi.target.cstar_classes)] and seen[0] > 1
-    # an off-block entry far inside tol sends the sweep to one block
+    # an off-block entry far inside tol sends the check to one block
     first, second = phi.target.cstar_classes[:2]
     images[(1, 1)][first[0] - 1, second[0] - 1] = 1e-12
     la.validate_numeric(images, phi.source, phi.target)
     assert seen[1:] == [1]
+
+
+def _count_sweeps(monkeypatch):
+    calls = []
+    sweep = homs._sweep_products
+
+    def spy(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(homs, "_sweep_products", spy)
+    return calls
+
+
+def test_overlapping_diagonals_of_two_classes_reach_the_sweep(monkeypatch):
+    # each class alone is a valid map; only the Gram across the two
+    # classes sees that both diagonal images are e_11
+    src, tgt = la.diagonal_algebra(2), la.full_matrix_algebra(2)
+    e11 = np.diag([1.0, 0.0]).astype(complex)
+    images = {(1, 1): e11, (2, 2): e11}
+    calls = _count_sweeps(monkeypatch)
+    got = _outcome(la.validate_numeric, images, src, tgt, 1e-9)
+    assert got == _outcome(reference_validate, images, src, tgt, 1e-9)
+    assert got[0] is NotMultiplicative
+    assert got[1]["left"] == [1, 1] and got[1]["right"] == [2, 2]
+    assert calls == [1]
+
+
+def test_generator_check_accepts_valid_maps_and_sends_the_rest_on(
+        monkeypatch):
+    rng = np.random.default_rng(17)
+    src = la.direct_sum_algebra(la.tr_algebra(2), la.full_matrix_algebra(2))
+    phi = la.direct_sum(random_standard_map(rng, source=src, copies=2),
+                        random_standard_map(rng, source=src, copies=1))
+    tol = 1e-6
+    images = _conjugated(_block_unitary(rng, phi.target),
+                         dict(la.to_numeric(phi).images))
+    calls = _count_sweeps(monkeypatch)
+    got = la.validate_numeric(images, src, phi.target, tol=tol)
+    assert calls == []
+    assert (_outcome(lambda *a: got, images, src, phi.target, tol)
+            == _outcome(reference_validate, images, src, phi.target, tol))
+    # scaling a unit whose adjoint is no edge keeps star consistency
+    for key in sorted(k for k in images
+                      if k[0] == k[1] or k[::-1] not in images):
+        moved = _perturbed(rng, images, phi.target, key, 2 * tol, "scale")
+        calls.clear()
+        want = _outcome(reference_validate, moved, src, phi.target, tol)
+        assert _outcome(la.validate_numeric, moved, src, phi.target,
+                        tol) == want
+        assert want[0] is NotMultiplicative and calls == [1]
 
 
 def test_sweep_above_the_cap_raises_capacity_exceeded(monkeypatch):
