@@ -447,7 +447,7 @@ class StandardPartialIsometry:
 
     def adjoint(self) -> "StandardPartialIsometry":
         pairs = {j: i for i, j in self._map.items()}
-        phases = {j: np.conj(self._phase[i]) for i, j in self._map.items()}
+        phases = {j: self._phase[i].conjugate() for i, j in self._map.items()}
         return StandardPartialIsometry(self.algebra, pairs, phases)
 
     def __matmul__(self, other: "StandardPartialIsometry") -> "StandardPartialIsometry":

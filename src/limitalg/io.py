@@ -13,7 +13,9 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring
+from operator import itemgetter
 
 import numpy as np
 
@@ -32,6 +34,8 @@ from .tolerance import DEFAULT_TOL
 _MAX_INDENT = 2 * 256
 _INT = {int}
 _STR = {str}
+_DICT = {dict}
+_LIST = {list}
 
 
 class _Unhandled(Exception):
@@ -57,11 +61,12 @@ def _encode(v, nl: str) -> str:
         inner = nl + "  "
         if len(inner) > _MAX_INDENT:
             raise _Unhandled
-        if set(map(type, v)) == _INT:
-            body = map(int.__repr__, v)
-        else:
-            body = [_encode(x, inner) for x in v]
-        return "[" + inner + ("," + inner).join(body) + nl + "]"
+        kinds = set(map(type, v))
+        if kinds == _INT:
+            body = ("," + inner).join(map(int.__repr__, v))
+        elif kinds != _DICT or (body := _records(v, inner)) is None:
+            body = ("," + inner).join([_encode(x, inner) for x in v])
+        return "[" + inner + body + nl + "]"
     if t is str:
         return encode_basestring(v)
     if t is int:
@@ -75,6 +80,44 @@ def _encode(v, nl: str) -> str:
     raise _Unhandled
 
 
+def _records(v, nl: str):
+    """The items of v, a list of dicts, as _encode joins them at nl, or
+    None unless every item has the same str keys and each key holds an
+    exact int in every item or an exact-int list of one nonzero length in
+    every item. The item text is built once, a %s per int, and filled for
+    all items by one % over the columns."""
+    keys = v[0].keys()
+    if (not keys or len(nl) + 4 > _MAX_INDENT
+            or set(map(type, keys)) != _STR
+            or set(map(len, v)) != {len(keys)}):
+        return None
+    inner, leaf = nl + "  ", nl + "    "
+    fields, columns = [], []
+    for k in sorted(keys):
+        try:
+            col = list(map(itemgetter(k), v))
+        except KeyError:  # an item with as many keys, but others
+            return None
+        name = encode_basestring(k).replace("%", "%%") + ": "
+        if set(map(type, col)) != _LIST:
+            # one int per item, or the check of all values below fails
+            fields.append(name + "%s")
+            columns.append(col)
+            continue
+        sizes = set(map(len, col))
+        if len(sizes) != 1 or 0 in sizes:
+            return None
+        size = sizes.pop()
+        fields.append(name + "[" + leaf + ("," + leaf).join(["%s"] * size)
+                      + inner + "]")
+        columns += [list(map(itemgetter(q), col)) for q in range(size)]
+    values = tuple(chain.from_iterable(zip(*columns)))
+    if set(map(type, values)) != _INT:
+        return None
+    item = "{" + inner + ("," + inner).join(fields) + nl + "}"
+    return ("," + nl).join([item] * len(v)) % values
+
+
 def canonical_dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, indent 2, trailing newline.
 
@@ -82,9 +125,14 @@ def canonical_dumps(obj) -> str:
     ensure_ascii=False, allow_nan=False) + "\n". A small recursive encoder
     writes it for dicts with str keys, lists, tuples, str, int, finite
     float, bool and None (exact types, not subclasses), joining lists of
-    plain ints in one step; anything else (a non-str key, NaN or inf,
-    another type, nesting deeper than 256) goes to that json.dumps call,
-    which then gives the text or raises its usual exception.
+    plain ints in one step. A list of uniform records (dicts with one set
+    of str keys, each key holding an int in every item or an int list of
+    one nonzero length in every item, such as a spectrum report's relation
+    pairs) is written by one % over its columns into the item text built
+    once; any other list of dicts takes the recursive path. Anything else
+    (a non-str key, NaN or inf, another type, nesting deeper than 256)
+    goes to that json.dumps call, which then gives the text or raises its
+    usual exception.
     """
     try:
         return _encode(obj, "\n") + "\n"

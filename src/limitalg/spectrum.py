@@ -136,7 +136,7 @@ class CylinderRelation:
     def as_payload(self) -> dict:
         rows = self.paths.tolist()
         return {"depth": self.depth,
-                "pairs": [{"x": rows[x][:], "y": rows[y][:], "level": lvl,
+                "pairs": [{"x": rows[x], "y": rows[y], "level": lvl,
                            "unit": [i, j]}
                           for x, y, lvl, i, j in zip(*self._entries())]}
 

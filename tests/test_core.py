@@ -332,6 +332,12 @@ def test_partial_isometry_product_and_adjoint():
     assert np.allclose(w.matrix(), m @ m)
     assert np.allclose(v.adjoint().matrix(), m.conj().T)
     assert v.is_unitary
+    # fourth-root phases stay exact Python complex values through adjoints,
+    # signed zeros included
+    u = v.adjoint()
+    assert {type(p) for p in u.phases.values()} == {complex}
+    back = u.adjoint()
+    assert back.pairs == v.pairs and repr(back.phases) == repr(v.phases)
 
 
 def test_partial_isometry_block_preserving_flag():

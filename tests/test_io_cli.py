@@ -1,5 +1,6 @@
 """JSON serialization and the command line surface."""
 
+import copy
 import json
 import os
 import runpy
@@ -740,6 +741,63 @@ def test_canonical_dumps_falls_back_exactly():
             assert got == want
 
 
+# uniform record lists, which take the one-format path, and a near miss of
+# each, which must not
+_record_key = (st.text(alphabet=st.characters(), max_size=3)
+               | st.sampled_from(["%", "%s", "%%", '"', "a%d", "é😀",
+                                  "\ud800"]))
+_record_int = st.integers(-2 ** 70, 2 ** 70)
+_NEAR_MISSES = ("bool", "float", "int64", "empty", "longer", "keys")
+
+
+@st.composite
+def _record_lists(draw):
+    """(uniform, near miss): the same records, the second with one value,
+    list or key set changed so that the list is not uniform."""
+    keys = draw(st.lists(_record_key, min_size=1, max_size=4, unique=True))
+    # None: an int field; else the one length of a list field
+    shape = {k: draw(st.none() | st.integers(1, 3)) for k in keys}
+    field = st.fixed_dictionaries({
+        k: _record_int if n is None
+        else st.lists(_record_int, min_size=n, max_size=n)
+        for k, n in shape.items()})
+    items = draw(st.lists(field, min_size=2, max_size=5))
+    near = copy.deepcopy(items)
+    item = near[draw(st.integers(0, len(near) - 1))]
+    key = draw(st.sampled_from(keys))
+    miss = draw(st.sampled_from(_NEAR_MISSES))
+    if miss == "keys":
+        new = draw(_record_key.filter(lambda k: k not in item))
+        how = draw(st.sampled_from(["add", "drop", "rename"]))
+        value = item.pop(key) if how != "add" else 0
+        if how != "drop":
+            item[new] = value
+    elif miss in ("empty", "longer"):
+        old = item[key] if shape[key] else [item[key]]
+        item[key] = [] if miss == "empty" else old + [0]
+    else:
+        odd = {"bool": draw(st.booleans()), "float": draw(st.floats()),
+               "int64": np.int64(draw(st.integers(-9, 9)))}[miss]
+        if shape[key] is None:
+            item[key] = odd
+        else:
+            item[key][draw(st.integers(0, shape[key] - 1))] = odd
+    return items, near
+
+
+@settings(max_examples=100, deadline=None)
+@given(_record_lists(),
+       st.integers(0, 2) | st.integers(iolib._MAX_INDENT // 2 - 6,
+                                        iolib._MAX_INDENT // 2))
+def test_canonical_dumps_records_match_json_dumps(records, depth):
+    # depths either side of the one where record fields pass _MAX_INDENT
+    for doc in records:
+        for _ in range(depth):
+            doc = [doc]
+        assert (_outcome(iolib.canonical_dumps, doc)
+                == _outcome(_reference_dumps, doc))
+
+
 # algebra parsing: bulk edge check against the per-row loop
 
 def _reference_parse_n_form(doc):
@@ -856,6 +914,15 @@ def test_cli_spectrum_full_depth_digests(tmp_path, capsys, monkeypatch):
     paths = {name: write_json(tmp_path / f"tower_{name}.json",
                               iolib.encode_system(s))
              for name, s in towers.items()}
+    # every report sends its relation's pairs through the record path
+    records, sent = iolib._records, []
+
+    def spy(v, nl):
+        text = records(v, nl)
+        sent.append((len(v), text is not None))
+        return text
+
+    monkeypatch.setattr(iolib, "_records", spy)
     for lhs, rhs, depth, want in (("pow2", "refine", 5, 1),
                                   ("refine", "pow2", 5, 1),
                                   ("pow2", "pow2", 5, 0),
@@ -867,6 +934,8 @@ def test_cli_spectrum_full_depth_digests(tmp_path, capsys, monkeypatch):
         assert code == want
         assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
                 == goldens[f"spectrum-{lhs}-{rhs}@depth{depth}"])
+        assert sent == [(len(json.loads(text)["relation"]["pairs"]), True)]
+        sent.clear()
 
 
 def test_cli_detect_on_a_long_zigzag_poset(tmp_path, capsys):
