@@ -13,7 +13,7 @@ from .homs import (DEFAULT_TOL, IndexMap, MultiplicityOneMap, NumericStarMap,
                    identity_map, map_distance, numeric_compose,
                    operator_norm, refinement_map, refinement_summand,
                    same_action, strictify, to_numeric,
-                   validate_multiplicity_one, validate_numeric, zero_map)
+                   validate_multiplicity_one, validate_numeric)
 from .conjugacy import (ClassKey, conjugacy_class, permutation_intertwiner,
                         restandardize_triangle, standard_witness)
 from .detect import (RegularityCertificate, SummandCensus, TestProductResult,
@@ -29,7 +29,7 @@ from .spectrum import (BratteliPath, CylinderRelation, DepthComparison,
 from .dimmod import (DISTINCT, EQUAL, NOT_YET_DISTINGUISHABLE, GroupElement,
                      LimitPresentation, ModuleMapMatrix, MonotoneMap,
                      ScaleConstraint, SemiringElement, StageModule, TrShape,
-                     class_of_map, enumerate_monotone, enveloping_group_stage,
+                     class_of_map, enumerate_monotone,
                      equal_up_to_stage, in_scale, induced_map,
                      limit_presentation, matrix_product, semiring_add,
                      semiring_mul, semiring_one, semiring_zero, tr_shape)

@@ -102,10 +102,19 @@ def standard_witness(phi1: StandardRegularMap, phi2: StandardRegularMap,
     phi1 and phi2 must have equal maximal class multisets (the computable
     criterion); otherwise NotInnerEquivalent. When permutation evidence u is
     supplied, its index action is used as the transport and only the
-    diagonal phase correction is computed on top of it.
+    diagonal phase correction is computed on top of it. Without it, V is
+    checked here (InternalError); exact_intertwine builds it unchecked.
     """
     if phi1.source != phi2.source or phi1.target != phi2.target:
         raise SourceTargetMismatch("witness needs matching source and target")
+    v = _witness(phi1, phi2, u)
+    if u is None and not same_action(conjugate_standard(phi1, v), phi2):
+        raise InternalError("witness construction failed to verify")
+    return v
+
+
+def _witness(phi1, phi2, u=None) -> StandardPartialIsometry:
+    """standard_witness over matching algebras, without its final check."""
     a2 = phi1.target
     key1, key2 = phi1.class_multiset(), phi2.class_multiset()
     if key1 != key2:
@@ -126,12 +135,9 @@ def standard_witness(phi1: StandardRegularMap, phi2: StandardRegularMap,
     at, to, phase = canonical_pairing(phi1, phi2)
     idx = [i for blk in a2.blocks for i in blk]
     used_at, used_to = set(at), set(to)
-    v = monomial(a2, at + tuple(i for i in idx if i not in used_at),
-                 to + tuple(i for i in idx if i not in used_to),
-                 phase + [1.0 + 0.0j] * (a2.n - len(at)))
-    if not same_action(conjugate_standard(phi1, v), phi2):
-        raise InternalError("witness construction failed to verify")
-    return v
+    return monomial(a2, at + tuple(i for i in idx if i not in used_at),
+                    to + tuple(i for i in idx if i not in used_to),
+                    phase + [1.0 + 0.0j] * (a2.n - len(at)))
 
 
 def _diagonal_correction(moved: StandardRegularMap, target_map: StandardRegularMap,
@@ -155,6 +161,8 @@ def restandardize_triangle(theta: StandardRegularMap,
     phi2 may be a StandardRegularMap (weights allowed) or a NumericStarMap;
     a numeric phi2 is first standardized through the regularity decision.
     Returns (U, phi2_std). When theta and phi1 are strict, so is phi2_std.
+    It checks phi2 after phi1 = theta as given (TriangleNotCommuting), the
+    witness, and Ad(U) phi2 after phi1 = theta (InternalError).
     """
     if phi2.source != phi1.target or phi2.target != theta.target:
         raise SourceTargetMismatch("triangle algebras do not line up")
@@ -175,7 +183,15 @@ def restandardize_triangle(theta: StandardRegularMap,
                 map_distance(compose(phi2, phi1), theta))
         b0, d = strictify(phi2)
         lead = [d]
-    v0 = standard_witness(compose(b0, phi1), theta)
+    return _restandardize(theta, phi1, b0, lead)
+
+
+def _restandardize(theta: StandardRegularMap, phi1: StandardRegularMap,
+                   b0: StandardRegularMap, lead: list, checked=True) -> tuple:
+    """(U, b) from a standard form b0 = Ad(lead) phi2 whose triangle
+    commutes. The witness is checked only when checked is set; the result
+    always is, as b after phi1 = theta (InternalError)."""
+    v0 = (standard_witness if checked else _witness)(compose(b0, phi1), theta)
     b = conjugate_standard(b0, v0)
     factors = [v0] + lead
     if not b.is_strict and theta.is_strict and phi1.is_strict:

@@ -305,13 +305,6 @@ def matrix_product(m1: ModuleMapMatrix, m2: ModuleMapMatrix) -> ModuleMapMatrix:
     return ModuleMapMatrix(m1.r, tuple(out))
 
 
-def identity_matrix(r: int, width: int) -> ModuleMapMatrix:
-    one, zero = semiring_one(r), semiring_zero(r)
-    return ModuleMapMatrix(r, tuple(
-        tuple(one if i == j else zero for j in range(width))
-        for i in range(width)))
-
-
 # stage shape recognition
 
 @dataclass(frozen=True)
@@ -413,11 +406,6 @@ class ScaleConstraint:
         object.__setattr__(self, "caps", tuple(int(c) for c in self.caps))
         if any(c < 1 for c in self.caps):
             raise ValueError("capacities must be positive")
-
-    @classmethod
-    def of_algebra(cls, a) -> "ScaleConstraint":
-        shape = tr_shape(a)
-        return cls(shape.r, tuple(s.size for s in shape.summands))
 
 
 def in_scale(x: StageModule, scale: ScaleConstraint) -> bool:
@@ -621,9 +609,3 @@ class GroupElement:
     def as_payload(self) -> dict:
         return {"plus": self.plus.as_payload(),
                 "minus": self.minus.as_payload()}
-
-
-def enveloping_group_stage(x_minus: StageModule,
-                           x_plus: StageModule) -> GroupElement:
-    """The class of the formal difference x_plus - x_minus."""
-    return GroupElement(x_plus, x_minus)

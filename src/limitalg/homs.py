@@ -155,9 +155,10 @@ class StandardRegularMap:
     summands, empty ones included; by default it is one more than the
     largest piece.
 
-    The constructor is the one check of every map, given or derived. The
-    columns may be any int (and complex) sequences; they must have one
-    length and each piece lie in 0..pieces-1. Then one pass over the rows
+    One row pass checks every map, given or derived. The constructor
+    converts the columns from any int (and complex) sequences; _derived
+    takes the tuples that library functions built as they are. The columns
+    must have one length and each piece lie in 0..pieces-1. Then the pass
     raises the first broken invariant, summand by summand in order, each
     at its first witness: range, injectivity and one row per source index,
     row by row as given; edges; the least class met and not covered; the
@@ -178,6 +179,16 @@ class StandardRegularMap:
                  src, tgt, piece, weight=None, pieces: Optional[int] = None):
         s, t, pc = (tuple(map(int, c)) for c in (src, tgt, piece))
         w = None if weight is None else tuple(map(complex, weight))
+        self._row_pass(source, target, s, t, pc, w, pieces)
+
+    @classmethod
+    def _derived(cls, source, target, s, t, pc, w=None, pieces=None):
+        """The checked map on tuples a library function built."""
+        phi = cls.__new__(cls)
+        phi._row_pass(source, target, s, t, pc, w, pieces)
+        return phi
+
+    def _row_pass(self, source, target, s, t, pc, w, pieces) -> None:
         if not len(s) == len(t) == len(pc) == len(s if w is None else w):
             raise ValueError("src, tgt, piece and weight differ in length")
         pieces = max(pc, default=-1) + 1 if pieces is None else pieces
@@ -186,8 +197,8 @@ class StandardRegularMap:
         rows = {}
         for k, p in enumerate(pc):
             rows.setdefault(p, []).append(k)
-        sn, tn = source.n, target.n
-        sb, tb = source.block_index, target.block_index
+        sn, tn, reduced = source.n, target.n, target.reduced.edges
+        sb, tb = source._block_of, target._block_of
         for p in sorted(rows):
             imap, seen, tau, count, ok = {}, {}, {}, {}, True
             for k in rows[p]:
@@ -201,10 +212,10 @@ class StandardRegularMap:
                 if i in imap:
                     raise ValueError(f"source index {i} listed twice")
                 seen[j], imap[i] = i, j
-                r, x = sb(i), tb(j)
+                r, x = sb[i], tb[j]
                 ok = tau.setdefault(r, x) == x and ok
                 count[r] = count.get(r, 0) + 1
-            if not (ok and all((tau[r], tau[q]) in target.reduced.edges
+            if not (ok and all((tau[r], tau[q]) in reduced
                                for r, q in source.reduced.edges
                                if r in tau and q in tau)):
                 raise EdgeIncompatible(*next(
@@ -297,11 +308,11 @@ class StandardRegularMap:
                     ratio = [ws[k] / ws[ks[0]] for k in ks]
                     trivial = all(abs(x - 1.0) <= EXACT_SLACK for x in ratio)
                     w += [1.0 + 0.0j] * len(ks) if trivial else ratio
-                w = None if all(x == 1 for x in w) else w
-            self._canonical = StandardRegularMap(
-                self.source, self.target, [src[k] for k in rows],
-                [tgt[k] for k in rows],
-                [p for p, (*_, ks) in enumerate(keys) for _ in ks], w,
+                w = None if all(x == 1 for x in w) else tuple(w)
+            self._canonical = StandardRegularMap._derived(
+                self.source, self.target, tuple(src[k] for k in rows),
+                tuple(tgt[k] for k in rows),
+                tuple(p for p, (*_, ks) in enumerate(keys) for _ in ks), w,
                 len(keys))
         return self._canonical
 
@@ -354,10 +365,6 @@ def identity_map(a: DigraphAlgebra) -> StandardRegularMap:
     return StandardRegularMap(a, a, idx, idx, [0] * a.n)
 
 
-def zero_map(source: DigraphAlgebra, target: DigraphAlgebra) -> StandardRegularMap:
-    return StandardRegularMap(source, target, (), (), ())
-
-
 def decompose_maximal(phi: StandardRegularMap) -> tuple:
     """The maximal summands of phi, normalized, in canonical order."""
     return phi.canonical().summands
@@ -385,13 +392,13 @@ def compose(phi: StandardRegularMap, psi: StandardRegularMap
     w = None
     if phi.weight is not None or psi.weight is not None:
         wl, wr = _weights(psi), _weights(phi)
-        w = [wl[l] * wr[r] for _, l, r in rows]
+        w = tuple(wl[l] * wr[r] for _, l, r in rows)
     # the pairs met, numbered in order, are the summands
     ids = {}
-    return StandardRegularMap(
-        psi.source, phi.target, [psi.src[l] for _, l, _ in rows],
-        [phi.tgt[r] for _, _, r in rows],
-        [ids.setdefault(p, len(ids)) for p, _, _ in rows], w)
+    return StandardRegularMap._derived(
+        psi.source, phi.target, tuple(psi.src[l] for _, l, _ in rows),
+        tuple(phi.tgt[r] for _, _, r in rows),
+        tuple(ids.setdefault(p, len(ids)) for p, _, _ in rows), w)
 
 
 def direct_sum(phi: StandardRegularMap, psi: StandardRegularMap
@@ -403,7 +410,7 @@ def direct_sum(phi: StandardRegularMap, psi: StandardRegularMap
     w = None
     if phi.weight is not None or psi.weight is not None:
         w = _weights(phi) + _weights(psi)
-    return StandardRegularMap(
+    return StandardRegularMap._derived(
         phi.source, direct_sum_algebra(phi.target, psi.target),
         phi.src + psi.src,
         phi.tgt + tuple(j + phi.target.n for j in psi.tgt),
@@ -465,9 +472,10 @@ def conjugate_standard(phi: StandardRegularMap,
     if v.algebra.n != phi.target.n:
         raise ValueError("unitary is over the wrong algebra")
     perm, phase = _monomial(v)
-    return StandardRegularMap(
-        phi.source, phi.target, phi.src, [perm[j] for j in phi.tgt],
-        phi.piece, [x * phase[j] for x, j in zip(_weights(phi), phi.tgt)],
+    return StandardRegularMap._derived(
+        phi.source, phi.target, phi.src, tuple(perm[j] for j in phi.tgt),
+        phi.piece,
+        tuple(x * phase[j] for x, j in zip(_weights(phi), phi.tgt)),
         phi.pieces)
 
 
@@ -503,8 +511,8 @@ def strictify(phi: StandardRegularMap) -> tuple:
     d is a diagonal monomial over the target with Ad(d) phi = strict map,
     exactly. Identity off the image.
     """
-    strict = StandardRegularMap(phi.source, phi.target, phi.src, phi.tgt,
-                                phi.piece, None, phi.pieces)
+    strict = StandardRegularMap._derived(phi.source, phi.target, phi.src,
+                                         phi.tgt, phi.piece, None, phi.pieces)
     return strict, monomial(phi.target, phi.tgt, phi.tgt,
                             [x.conjugate() for x in _weights(phi)])
 

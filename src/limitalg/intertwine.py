@@ -23,7 +23,7 @@ from .errors import (CensusMismatch, NotRegular, ResidualTooLarge,
 from .homs import (StandardRegularMap, Unitary, apply_to_unitary, compose,
                    conjugate_standard, map_distance, numeric_compose,
                    operator_norm, same_action, strictify, to_numeric)
-from .conjugacy import restandardize_triangle, standard_witness
+from .conjugacy import _restandardize, standard_witness
 from .tolerance import DENSE_FLOOR, map_tolerance
 
 
@@ -219,9 +219,10 @@ def exact_intertwine(d: CrossoverDiagram) -> CorrectedDiagram:
     triangle must commute exactly; numeric crossovers belong to the
     approximate mode. Outputs are strict standard with monomial witnesses:
     alphas_hat[k] = Ad(v[k]) alphas[k] and betas_hat[k] = Ad(u[k]) betas[k].
-    Each corrected triangle is checked exactly once, by the
-    restandardize_triangle call that builds its outer map (InternalError on
-    failure), so the report has residual 0.0 on every triangle.
+    Each triangle is checked twice, as given (TriangleNotCommuting) and
+    once corrected (InternalError), so the report has residual 0.0 on every
+    triangle; the checks restandardize_triangle adds in between (the moved
+    triangle and the witness) follow from these and are skipped.
     """
     if d.mode != "exact":
         raise UsageError("diagram is not in exact mode")
@@ -241,8 +242,8 @@ def exact_intertwine(d: CrossoverDiagram) -> CorrectedDiagram:
     for _, _, _, outer, conn in _zigzag(d):
         mono = wits[-1].as_monomial(outer.source)
         t = apply_to_unitary(outer, mono.adjoint())
-        corr, std = restandardize_triangle(conn, hats[-1],
-                                           conjugate_standard(outer, t))
+        b0, strip = strictify(conjugate_standard(outer, t))
+        corr, std = _restandardize(conn, hats[-1], b0, [strip], checked=False)
         hats.append(std)
         wits.append(Unitary(outer.target.n, list(corr.factors) + [t]))
 

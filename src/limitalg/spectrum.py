@@ -120,9 +120,6 @@ class CylinderRelation:
                 for x, y, lvl, i, j in zip(*self._entries()))
         return self._pairs
 
-    def contains(self, x, y) -> bool:
-        return (tuple(x), tuple(y)) in self.pair_set()
-
     def pair_set(self) -> frozenset:
         if self._set is None:
             self._set = frozenset((x, y) for (x, y, _, _) in self.pairs)

@@ -309,6 +309,56 @@ def test_the_canonical_form_is_checked_like_any_table():
         phi.canonical()
 
 
+def _table_outcome(build):
+    try:
+        phi = build()
+    except (ValueError, LimitalgError) as e:
+        return type(e).__name__, getattr(e, "data", str(e))
+    return "ok", (phi.src, phi.tgt, phi.piece, phi.weight, phi.pieces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9),
+       st.sampled_from(["valid", "edge", "partial", "injective", "range"]),
+       st.booleans())
+def test_derived_entry_checks_like_the_constructor(seed, kind, twice):
+    # the entry of compose, conjugate_standard, canonical, strictify and
+    # direct_sum runs the same row pass on its tuples: the same table, or
+    # the same error at the same witness; a summand listed twice overlaps
+    rng = np.random.default_rng(seed)
+    iota, source, target, phases = _random_index_map(rng, kind)
+    copies = 1 + twice
+    cols = [list(iota) * copies, list(iota.values()) * copies,
+            [k for k in range(copies) for _ in iota],
+            None if phases is None else
+            [complex(phases.get(i, 1.0)) for i in iota] * copies]
+    order = rng.permutation(len(cols[0]))
+    cols = [None if c is None else tuple(c[k] for k in order) for c in cols]
+    assert (_table_outcome(lambda: homs.StandardRegularMap._derived(
+        source, target, *cols))
+        == _table_outcome(lambda: la.StandardRegularMap(source, target,
+                                                        *cols)))
+
+
+def test_derived_callers_fail_as_their_columns_do():
+    # a block-mixing monomial breaks the edge (1, 2) of T3
+    a = la.tr_algebra(3)
+    v = la.StandardPartialIsometry(a, {1: 3, 2: 2, 3: 1})
+    got = _table_outcome(lambda: la.conjugate_standard(la.identity_map(a), v))
+    assert got == _table_outcome(lambda: la.StandardRegularMap(
+        a, a, [1, 2, 3], [3, 2, 1], [0, 0, 0], [1, 1, 1]))
+    assert got == ("EdgeIncompatible", {"i": 1, "j": 2})
+    # weights within EXACT_SLACK of modulus 1 whose product is not
+    f = la.full_matrix_algebra(2)
+    phi = la.assemble_regular([la.validate_multiplicity_one(
+        {1: 2, 2: 1}, f, f, phases={1: 1 + 0.9e-12, 2: 1 + 0.9e-12})])
+    w = (1 + 0.9e-12) * (1 + 0.9e-12)
+    got = _table_outcome(lambda: la.compose(phi, phi))
+    assert got == _table_outcome(lambda: la.StandardRegularMap(
+        f, f, [1, 2], [1, 2], [0, 0], [w, w]))
+    assert got == ("ValueError", "phase at 1 is not unimodular")
+
+
 def test_indices_beyond_int64_fail_the_range_check_as_given():
     a = la.full_matrix_algebra(2)
     big = 2 ** 63

@@ -1,8 +1,12 @@
 """Crossover diagrams: exact zigzag correction and the approximate
 certify-gate-align pipeline."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import limitalg as la
 from limitalg.errors import (ResidualTooLarge, SourceTargetMismatch,
@@ -20,19 +24,22 @@ def inner_automorphism(a, w):
     return la.conjugate_standard(identity_map(a), w)
 
 
-def twisted_refinement_diagram(rng, stages=3, phases=False):
+def twisted_refinement_diagram(rng, stages=3, phases=False, exact=True):
     """Both rows are the dyadic refinement tower; the crossovers carry a
     monomial twist per stage so nothing is trivially aligned.
 
     Phase-free twists keep the bottom connectors strict, which is what the
-    strictness guarantee of the exact engine is conditioned on.
+    strictness guarantee of the exact engine is conditioned on. Phased
+    twists draw fourth roots of unity, or any unimodular phase when exact
+    is False.
     """
     from conftest import random_block_permutation
     tops = [la.tr_algebra(2, 2 ** k) for k in range(stages)]
     conns = [la.refinement_map(2, 2 ** k, 2) for k in range(stages - 1)]
     top = la.DirectSystem(tuple(tops), tuple(conns))
     if phases:
-        twists = [random_monomial_unitary(rng, a) for a in tops]
+        twists = [random_monomial_unitary(rng, a, exact=exact)
+                  for a in tops]
     else:
         twists = [la.PermutationUnitary(
             a, random_block_permutation(rng, a)).as_partial_isometry()
@@ -242,6 +249,91 @@ def test_exact_intertwine_rejects_a_wrong_witness(monkeypatch):
             a, {i: j for blk in a.blocks for i, j in zip(blk, blk[::-1])})
 
     d = twisted_refinement_diagram(np.random.default_rng(5), stages=3)
-    monkeypatch.setattr(conjugacy, "standard_witness", reversing)
+    monkeypatch.setattr(conjugacy, "_witness", reversing)
     with pytest.raises(InternalError, match="restandardization"):
         la.exact_intertwine(d)
+    # the public functions check the witness itself
+    phi = d.top.connector(1)
+    with pytest.raises(InternalError,
+                       match="witness construction failed to verify"):
+        la.standard_witness(phi, phi)
+    with pytest.raises(InternalError,
+                       match="witness construction failed to verify"):
+        la.restandardize_triangle(phi, la.identity_map(phi.source), phi)
+
+
+def test_restandardize_triangle_checks_the_triangle_as_given():
+    d = twisted_refinement_diagram(np.random.default_rng(11), stages=3)
+    phi1, phi2 = d.top.connector(0), d.top.connector(1)
+    flip = la.PermutationUnitary(
+        phi2.target, (2, 1, 3, 4, 5, 6, 7, 8)).as_partial_isometry()
+    with pytest.raises(TriangleNotCommuting):
+        la.restandardize_triangle(la.compose(phi2, phi1), phi1,
+                                  la.conjugate_standard(phi2, flip))
+
+
+def _spy(monkeypatch, names) -> Counter:
+    """Count the calls of homs functions from every limitalg namespace."""
+    calls = Counter()
+    for name in names:
+        orig = getattr(la.homs, name)
+
+        def spy(*args, _name=name, _orig=orig):
+            calls[_name] += 1
+            return _orig(*args)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("limitalg")
+                    and getattr(mod, name, None) is orig):
+                monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def test_exact_intertwine_calls_per_triangle(monkeypatch):
+    # per triangle: the input check, the standard form after the previous
+    # hat and the final check compose; the outer map and its standard form
+    # are conjugated once each
+    d = twisted_refinement_diagram(np.random.default_rng(13), stages=4,
+                                   phases=True)
+    n = len(list(d.triangles()))
+    calls = _spy(monkeypatch, ("compose", "conjugate_standard"))
+    la.exact_intertwine(d)
+    assert calls == {"compose": 3 * n, "conjugate_standard": 2 * n}
+
+
+def _reference_intertwine(d) -> tuple:
+    """exact_intertwine's walk through the public, fully checked
+    restandardize_triangle: (hats, witnesses) in walking order."""
+    first, d1 = la.strictify(d.alphas[0])
+    hats, wits = [first], [la.Unitary(first.target.n, [d1])]
+    for _, _, _, outer, conn in sorted(
+            d.triangles(), key=lambda t: (t[1], t[0] != "top")):
+        t = la.apply_to_unitary(
+            outer, wits[-1].as_monomial(outer.source).adjoint())
+        corr, std = la.restandardize_triangle(
+            conn, hats[-1], la.conjugate_standard(outer, t))
+        hats.append(std)
+        wits.append(la.Unitary(outer.target.n, list(corr.factors) + [t]))
+    return hats, wits
+
+
+def _bits(m) -> tuple:
+    if isinstance(m, la.Unitary):
+        return tuple((f.pairs, tuple(f.phases.items())) for f in m.factors)
+    return m.src, m.tgt, m.piece, m.weight, m.pieces
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.integers(2, 5))
+def test_unchecked_chain_matches_the_checked_one(seed, stages):
+    # any unimodular phases round at every product along the chain; the
+    # checks exact_intertwine skips still pass on the walk the public
+    # functions take, and both give the same bits
+    d = twisted_refinement_diagram(np.random.default_rng(seed),
+                                   stages=stages, phases=True, exact=False)
+    out = la.exact_intertwine(d)
+    hats, wits = _reference_intertwine(d)
+    assert [_bits(m) for m in out.alphas_hat + out.betas_hat] == [
+        _bits(m) for m in hats[0::2] + hats[1::2]]
+    assert [_bits(u) for u in out.v_unitaries + out.u_unitaries] == [
+        _bits(u) for u in wits[0::2] + wits[1::2]]
