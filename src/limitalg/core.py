@@ -462,6 +462,10 @@ class StandardPartialIsometry:
                 phases[i] = other._phase[i] * self._phase[j]
         return StandardPartialIsometry(self.algebra, pairs, phases)
 
+    def is_block_preserving(self) -> bool:
+        bi = self.algebra.block_index
+        return all(bi(i) == bi(j) for i, j in self._map.items())
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, StandardPartialIsometry):
             return NotImplemented

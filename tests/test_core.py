@@ -340,6 +340,14 @@ def test_partial_isometry_product_and_adjoint():
     assert back.pairs == v.pairs and repr(back.phases) == repr(v.phases)
 
 
+def test_partial_isometry_block_preserving_flag():
+    a = la.tr_algebra(2)
+    v = la.StandardPartialIsometry(a, {1: 1, 2: 2}, {1: 1, 2: -1})
+    assert v.is_block_preserving()
+    w = la.StandardPartialIsometry(a, {1: 2}, {1: 1})
+    assert not w.is_block_preserving()
+
+
 def test_permutation_unitary_requires_block_preservation():
     # T2 has two singleton blocks: the identity keeps both, a swap moves both
     a = la.tr_algebra(2)
