@@ -95,7 +95,7 @@ def conjugacy_class(phi: StandardRegularMap) -> ClassKey:
 
 
 def standard_witness(phi1: StandardRegularMap, phi2: StandardRegularMap,
-                     u: Optional[PermutationUnitary] = None
+                     u: Optional[StandardPartialIsometry] = None
                      ) -> StandardPartialIsometry:
     """Monomial unitary V with Ad(V) phi1 = phi2, exactly.
 
@@ -124,10 +124,7 @@ def _witness(phi1, phi2, u=None) -> StandardPartialIsometry:
             rhs=[list(map(list, k)) for k in key2])
 
     if u is not None:
-        base = u.as_partial_isometry() if isinstance(u, PermutationUnitary) else u
-        moved = conjugate_standard(phi1, base)
-        corr = _diagonal_correction(moved, phi2, a2)
-        return corr @ base
+        return _diagonal_correction(conjugate_standard(phi1, u), phi2, a2) @ u
 
     # equal multisets give the pieces of one index map the same canonical
     # places in both maps, so the canonical rows pair up in order; the

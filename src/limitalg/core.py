@@ -378,9 +378,13 @@ class StandardPartialIsometry:
     unitaries and support exact composition, adjoint, and Ad arithmetic,
     which the witness machinery depends on: with phases drawn from the
     fourth roots of unity every operation stays exact in floating point.
+
+    Held as tuples over 0..n of the image _to[i] of i and its phase _ph[i],
+    0 and 1 off the domain and at slot 0. One pass in ascending i checks
+    every instance, given or _derived: range, injectivity, unimodularity.
     """
 
-    __slots__ = ("algebra", "_map", "_phase")
+    __slots__ = ("algebra", "_to", "_ph")
 
     def __init__(self, algebra: DigraphAlgebra,
                  pairs: Mapping[int, int] | Iterable,
@@ -388,99 +392,111 @@ class StandardPartialIsometry:
         if not isinstance(pairs, Mapping):
             pairs = dict(pairs)
         n = algebra.n
-        pmap = {}
-        inverse = {}
+        to, ph = [0] * (n + 1), [1.0 + 0.0j] * (n + 1)
         for i, j in pairs.items():
             i, j = int(i), int(j)
-            if not (1 <= i <= n and 1 <= j <= n):
+            if not (1 <= i <= n and j):
+                self._pass(algebra, to, ph)  # so earlier pairs fail first
                 raise ValueError(f"pair {i}->{j} out of range")
-            if i in pmap:
-                raise NotInjective(i, i, pmap[i])
-            if j in inverse:
-                raise NotInjective(inverse[j], i, j)
-            pmap[i] = j
-            inverse[j] = i
-        self.algebra = algebra
-        self._map = dict(sorted(pmap.items()))
-        if phases is None:
-            self._phase = {i: 1.0 + 0.0j for i in self._map}
-        else:
-            keyed = isinstance(phases, Mapping)
-            ph = {}
-            for i in self._map:
-                lam = complex(phases.get(i, 1.0) if keyed else phases[i])
-                if not abs(abs(lam) - 1.0) <= EXACT_SLACK:
-                    raise ValueError(f"phase at {i} is not unimodular")
-                ph[i] = lam
-            self._phase = ph
+            if to[i]:
+                raise NotInjective(i, i, to[i])
+            to[i] = j
+        keyed = isinstance(phases, Mapping)
+        for i in range(1, n + 1) if phases is not None else ():
+            if to[i]:
+                ph[i] = complex(phases.get(i, 1.0) if keyed else phases[i])
+        self._pass(algebra, tuple(to), tuple(ph))
+
+    @classmethod
+    def _derived(cls, algebra: DigraphAlgebra, to: tuple, ph: tuple):
+        """The checked monomial on tuples a library function built."""
+        v = cls.__new__(cls)
+        v._pass(algebra, to, ph)
+        return v
+
+    def _pass(self, algebra: DigraphAlgebra, to, ph) -> None:
+        seen = [0] * len(to)
+        for i, j in enumerate(to):
+            if j and not 1 <= j <= algebra.n:
+                raise ValueError(f"pair {i}->{j} out of range")
+            if j and seen[j]:
+                raise NotInjective(seen[j], i, j)
+            seen[j] = i
+        for i, x in enumerate(ph):
+            if not abs(abs(x) - 1.0) <= EXACT_SLACK:
+                raise ValueError(f"phase at {i} is not unimodular")
+        self.algebra, self._to, self._ph = algebra, to, ph
 
     # mapping access
     @property
     def pairs(self) -> tuple:
-        return tuple(self._map.items())
+        return tuple((i, j) for i, j in enumerate(self._to) if j)
 
     @property
     def phases(self) -> dict:
-        return dict(self._phase)
+        return {i: self._ph[i] for i, _ in self.pairs}
 
     def domain(self) -> frozenset:
-        return frozenset(self._map)
+        return frozenset(i for i, _ in self.pairs)
 
     def image(self) -> frozenset:
-        return frozenset(self._map.values())
+        return frozenset(self._to) - {0}
 
     def __call__(self, i: int) -> int:
-        return self._map[i]
+        if 0 < i < len(self._to) and self._to[i]:
+            return self._to[i]
+        raise KeyError(i)
 
     def phase(self, i: int) -> complex:
-        return self._phase[i]
+        self(i)  # KeyError off the domain
+        return self._ph[i]
 
     @property
     def is_unitary(self) -> bool:
-        return len(self._map) == self.algebra.n
+        return self._to.count(0) == 1
 
     def matrix(self) -> np.ndarray:
         m = np.zeros((self.algebra.n, self.algebra.n), dtype=complex)
-        for i, j in self._map.items():
-            m[j - 1, i - 1] = self._phase[i]
+        for i, j in self.pairs:
+            m[j - 1, i - 1] = self._ph[i]
         return m
 
     def adjoint(self) -> "StandardPartialIsometry":
-        pairs = {j: i for i, j in self._map.items()}
-        phases = {j: self._phase[i].conjugate() for i, j in self._map.items()}
-        return StandardPartialIsometry(self.algebra, pairs, phases)
+        to, ph = [0] * len(self._to), [1.0 + 0.0j] * len(self._to)
+        for i, j in self.pairs:
+            to[j], ph[j] = i, self._ph[i].conjugate()
+        return StandardPartialIsometry._derived(self.algebra, tuple(to),
+                                                tuple(ph))
 
     def __matmul__(self, other: "StandardPartialIsometry") -> "StandardPartialIsometry":
         """Operator product self * other (apply other first)."""
         if other.algebra.n != self.algebra.n:
             raise ValueError("size mismatch in partial isometry product")
-        pairs = {}
-        phases = {}
-        for i, j in other._map.items():
-            if j in self._map:
-                pairs[i] = self._map[j]
-                phases[i] = other._phase[i] * self._phase[j]
-        return StandardPartialIsometry(self.algebra, pairs, phases)
+        to = tuple(self._to[j] for j in other._to)
+        return StandardPartialIsometry._derived(self.algebra, to, tuple(
+            x * self._ph[j] if k else 1.0 + 0.0j
+            for x, j, k in zip(other._ph, other._to, to)))
 
     def is_block_preserving(self) -> bool:
         bi = self.algebra.block_index
-        return all(bi(i) == bi(j) for i, j in self._map.items())
+        return all(bi(i) == bi(j) for i, j in self.pairs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StandardPartialIsometry):
             return NotImplemented
-        return (self.algebra == other.algebra and self._map == other._map
-                and all(abs(self._phase[i] - other._phase[i]) <= EXACT_SLACK
-                        for i in self._map))
+        return (self.algebra == other.algebra and self._to == other._to
+                and all(abs(x - y) <= EXACT_SLACK
+                        for x, y in zip(self._ph, other._ph)))
 
     def __repr__(self) -> str:
-        trivial = all(abs(v - 1.0) <= EXACT_SLACK for v in self._phase.values())
+        trivial = all(abs(x - 1.0) <= EXACT_SLACK for x in self._ph)
         tag = "" if trivial else ", phased"
-        return f"StandardPartialIsometry({len(self._map)} pairs{tag})"
+        return f"StandardPartialIsometry({len(self.pairs)} pairs{tag})"
 
 
 def identity_unitary(algebra: DigraphAlgebra) -> StandardPartialIsometry:
-    return StandardPartialIsometry(algebra, {i: i for i in range(1, algebra.n + 1)})
+    return StandardPartialIsometry._derived(
+        algebra, tuple(range(algebra.n + 1)), (1.0 + 0.0j,) * (algebra.n + 1))
 
 
 def is_normalizing(v: StandardPartialIsometry, a: DigraphAlgebra) -> bool:
@@ -488,42 +504,30 @@ def is_normalizing(v: StandardPartialIsometry, a: DigraphAlgebra) -> bool:
     return all((j, i) in a.edges for i, j in v.pairs)
 
 
-class PermutationUnitary:
+class PermutationUnitary(StandardPartialIsometry):
     """Block-preserving permutation, a unitary in A intersect A*.
 
-    perm is stored as a tuple with perm[i-1] = sigma(i).
+    perm is the tuple with perm[i-1] = sigma(i); every phase is 1.
     """
 
-    __slots__ = ("algebra", "perm")
+    __slots__ = ()
 
     def __init__(self, algebra: DigraphAlgebra, perm: Sequence):
         perm = tuple(int(x) for x in perm)
         if sorted(perm) != list(range(1, algebra.n + 1)):
             raise ValueError("perm is not a permutation of 1..n")
-        for i in range(1, algebra.n + 1):
-            if algebra.block_index(i) != algebra.block_index(perm[i - 1]):
-                raise ValueError(
-                    f"perm moves {i} across blocks to {perm[i - 1]}")
-        self.algebra = algebra
-        self.perm = perm
+        for i, j in enumerate(perm, 1):
+            if algebra.block_index(i) != algebra.block_index(j):
+                raise ValueError(f"perm moves {i} across blocks to {j}")
+        self._pass(algebra, (0, *perm), (1.0 + 0.0j,) * (algebra.n + 1))
 
-    def __call__(self, i: int) -> int:
-        return self.perm[i - 1]
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.algebra.n, self.algebra.n), dtype=complex)
-        for i in range(1, self.algebra.n + 1):
-            m[self.perm[i - 1] - 1, i - 1] = 1.0
-        return m
+    @property
+    def perm(self) -> tuple:
+        return self._to[1:]
 
     def as_partial_isometry(self) -> StandardPartialIsometry:
-        return StandardPartialIsometry(
-            self.algebra, {i: self.perm[i - 1]
-                           for i in range(1, self.algebra.n + 1)})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PermutationUnitary)
-                and self.algebra == other.algebra and self.perm == other.perm)
+        return StandardPartialIsometry._derived(self.algebra, self._to,
+                                                self._ph)
 
     def __repr__(self) -> str:
         return f"PermutationUnitary{self.perm}"

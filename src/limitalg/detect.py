@@ -314,7 +314,7 @@ def summand_census(phi: NumericStarMap) -> SummandCensus:
     InconsistentRanks are unchanged on every input, at every tolerance.
     """
     src, tgt = phi.source, phi.target
-    ranks = phi.rank_matrix().entries
+    ranks = np.array(phi.rank_matrix().entries, dtype=np.int64)
     found = {}
     for c in range(len(src.cstar_classes)):
         word = test_word(src, c)
@@ -324,22 +324,18 @@ def summand_census(phi: NumericStarMap) -> SummandCensus:
             _, rank = _norm_and_rank(m)
             if rank > 0:
                 found[IndexMap(tuple(bmap.items()))] = rank
-    explained = [[0] * src.n for _ in tgt.blocks]
-    for im, mult in found.items():
-        bmap = dict(im.pairs)
-        for j in range(1, src.n + 1):
-            r = src.block_index(j)
-            if r in bmap:
-                explained[bmap[r]][j - 1] += mult
-    residual = 0
-    for r in range(len(tgt.blocks)):
-        for j in range(1, src.n + 1):
-            left = ranks[r][j - 1] - explained[r][j - 1]
-            if left < 0:
-                raise InconsistentRanks(r, j, left)
-            residual += left
-    total = sum(sum(row) for row in ranks)
-    return SummandCensus(found, residual, total)
+    # left[r, j - 1]: the rank of E_r phi(e_jj) E_r less the multiplicities
+    # of the classes found that send the block of j to r
+    hits = np.array([(t, r, mult) for im, mult in found.items()
+                     for r, t in im.pairs], dtype=np.int64).reshape(-1, 3)
+    by_block = np.zeros((len(tgt.blocks), len(src.blocks)), dtype=np.int64)
+    np.add.at(by_block, (hits[:, 0], hits[:, 1]), hits[:, 2])
+    left = ranks - by_block[:, src.block_layout().blocks.of]
+    bad = np.argwhere(left < 0)
+    if len(bad):
+        r, j = bad[0]  # the first in row-major order, as a scan finds it
+        raise InconsistentRanks(int(r), int(j) + 1, int(left[r, j]))
+    return SummandCensus(found, int(left.sum()), int(ranks.sum()))
 
 
 def standard_census(phi: StandardRegularMap) -> SummandCensus:

@@ -35,8 +35,8 @@ from .errors import (BlockPartial, CapacityExceeded, EdgeIncompatible,
 from .tolerance import (DEFAULT_TOL, DENSE_FLOOR, EXACT_SLACK,
                         PRODUCT_ROUNDING, ROUNDING_MARGIN)
 
-# full multiplicativity sweeps are quadratic in envelope units; above this
-# many pairs validation raises CapacityExceeded
+# full multiplicativity sweeps are quadratic in envelope units; validation
+# raises CapacityExceeded in place of a sweep over more pairs than this
 _SWEEP_CAP = 250_000
 
 def operator_norm(m: np.ndarray) -> float:
@@ -444,24 +444,14 @@ def canonical_pairing(phi: StandardRegularMap,
     return a.tgt, b.tgt, [y / x for x, y in zip(_weights(a), _weights(b))]
 
 
-def _monomial(v: StandardPartialIsometry) -> tuple:
-    """(perm, phase) of a total monomial: v sends i to perm[i] with phase
-    phase[i]."""
-    # pairs and phases both run over 1..n in order
-    return ((0, *(j for _, j in v.pairs)),
-            (1.0 + 0.0j, *v.phases.values()))
-
-
 def monomial(a: DigraphAlgebra, at: Sequence, to: Sequence,
              phase: Sequence) -> StandardPartialIsometry:
-    """The monomial over a sending at[k] to to[k] with phase[k], and every
-    other index to itself with phase 1."""
+    """The monomial over a sending at[k] to to[k] with phase[k], a Python
+    complex number, and every other index to itself with phase 1."""
     pairs, phases = list(range(a.n + 1)), [1.0 + 0.0j] * (a.n + 1)
     for i, j, x in zip(at, to, phase):
         pairs[i], phases[i] = j, x
-    # phases is read by index, 1..n
-    return StandardPartialIsometry(
-        a, zip(range(1, a.n + 1), pairs[1:]), phases)
+    return StandardPartialIsometry._derived(a, tuple(pairs), tuple(phases))
 
 
 def conjugate_standard(phi: StandardRegularMap,
@@ -471,11 +461,10 @@ def conjugate_standard(phi: StandardRegularMap,
         raise ValueError("conjugation needs a total monomial")
     if v.algebra.n != phi.target.n:
         raise ValueError("unitary is over the wrong algebra")
-    perm, phase = _monomial(v)
     return StandardRegularMap._derived(
-        phi.source, phi.target, phi.src, tuple(perm[j] for j in phi.tgt),
+        phi.source, phi.target, phi.src, tuple(v._to[j] for j in phi.tgt),
         phi.piece,
-        tuple(x * phase[j] for x, j in zip(_weights(phi), phi.tgt)),
+        tuple(x * v._ph[j] for x, j in zip(_weights(phi), phi.tgt)),
         phi.pieces)
 
 
@@ -492,8 +481,7 @@ def apply_to_unitary(phi: StandardRegularMap,
         raise ValueError("apply_to_unitary needs a total monomial")
     if v.algebra.n != phi.source.n:
         raise ValueError("unitary is over the wrong algebra")
-    perm, phase = _monomial(v)
-    cls = phi.source.class_index
+    perm, cls = v._to, phi.source.class_index
     if any(cls(i) != cls(perm[i]) for i in phi.src):
         raise ValueError("unitary does not preserve cstar classes")
     # v = sum phase_i e_{v(i), i}: the row of i gives the unit
@@ -502,7 +490,7 @@ def apply_to_unitary(phi: StandardRegularMap,
     at = [row[p, perm[i]] for p, i in zip(phi.piece, phi.src)]
     w = _weights(phi)
     return monomial(phi.target, phi.tgt, [phi.tgt[k] for k in at], [
-        phase[i] * w[k] * x.conjugate() for i, k, x in zip(phi.src, at, w)])
+        v._ph[i] * w[k] * x.conjugate() for i, k, x in zip(phi.src, at, w)])
 
 
 def strictify(phi: StandardRegularMap) -> tuple:
@@ -637,11 +625,11 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
     images are keyed by exactly the source edges, with finite entries, and
     tol is finite and nonnegative. Raises the first violated identity with
     its residual. Multiplicativity is ||E_a E_b - [j = k] E_il||_2 <= tol
-    for every pair a = e_ij, b = e_kl of the u envelope matrix units; when
-    u^2 exceeds _SWEEP_CAP, the star and range checks still run and then
-    CapacityExceeded is raised. Every residual X is gated on ||X||_2 > tol;
-    since ||X||_2 <= ||X||_F, one whose Frobenius norm is within tol passes
-    without an SVD, and a raised error carries the spectral residual.
+    for every pair a = e_ij, b = e_kl of the u envelope matrix units; a map
+    the generator check below cannot accept is swept, or CapacityExceeded
+    is raised if u^2 exceeds _SWEEP_CAP. Each residual X is gated on
+    ||X||_2 > tol; as ||X||_2 <= ||X||_F, one of Frobenius norm within tol
+    passes without an SVD, and an error carries the spectral residual.
 
     Generator check. The units come from the class trees: R_x is the tree
     product from the root r of x's class (R_r = P_r, the image of e_rr),
@@ -750,17 +738,18 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
         if res is not None:
             raise NotInRange(i, j, res)
 
-    if len(units) ** 2 > _SWEEP_CAP:
-        raise CapacityExceeded(
-            f"the multiplicativity sweep over {len(units)} envelope units "
-            f"needs {len(units) ** 2} pairs, above the cap of {_SWEEP_CAP}",
-            units=len(units), pairs=len(units) ** 2, cap=_SWEEP_CAP)
     reach = _envelope_extension(stack, source)
     stack.setflags(write=False)
     classes = target.block_layout().classes
     part = (None if ((stack != 0) & (classes.of[:, None] != classes.of)).any()
             else classes)
     if not _generator_bound(source, stack, reach, part) <= cut:
+        if len(units) ** 2 > _SWEEP_CAP:
+            raise CapacityExceeded(
+                f"the multiplicativity sweep over {len(units)} envelope "
+                f"units needs {len(units) ** 2} pairs, above the cap of "
+                f"{_SWEEP_CAP}", units=len(units), pairs=len(units) ** 2,
+                cap=_SWEEP_CAP)
         _sweep_products(source, stack, [np.arange(target.n)]
                         if part is None else list(part.parts), tol)
 

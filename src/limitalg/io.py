@@ -419,9 +419,9 @@ def encode_unitary(u: Unitary) -> dict:
     for f in u.factors:
         if isinstance(f, StandardPartialIsometry):
             rows.append({"type": "monomial",
-                         "pairs": [[i, f(i)] for i in sorted(f.domain())],
-                         "phases": [[i, encode_complex(f.phase(i))]
-                                    for i in sorted(f.domain())]})
+                         "pairs": [[i, j] for i, j in f.pairs],
+                         "phases": [[i, encode_complex(f._ph[i])]
+                                    for i, _ in f.pairs]})
         else:
             rows.append({"type": "dense", "matrix": _encode_matrices(f)})
     return {"n": u.n, "factors": rows}

@@ -1,5 +1,6 @@
 """The per-summand dict implementations of the standard-map layer, kept as
-the reference the index table is tested against.
+the reference the index table is tested against, and the dict-backed
+monomial, kept as the reference for the tuple form.
 
 A reference map is (source, target, summands) with each summand a pair
 (iota, weights): iota a dict sorted by source index, weights a dict over
@@ -8,12 +9,17 @@ replaced, step by step and with the same Python complex arithmetic, so
 results, weights and witness phases must agree to the last bit.
 """
 
+from collections.abc import Mapping
+
 import numpy as np
 
 import limitalg as la
 from limitalg.errors import (BlockPartial, EdgeIncompatible, ImageOverlap,
                              NotInjective, NotInnerEquivalent,
                              SourceTargetMismatch)
+from limitalg.homs import StandardRegularMap, _weights
+from limitalg.io import encode_complex
+from limitalg.tolerance import EXACT_SLACK
 
 
 def reference_multiplicity_one(iota, source, target, phases=None):
@@ -255,3 +261,128 @@ def standard_witness(phi1, phi2):
             pairs[x] = y
             phases[x] = 1.0 + 0.0j
     return la.StandardPartialIsometry(a2, pairs, phases)
+
+
+class PartialIsometry:
+    """StandardPartialIsometry as a pair of dicts sorted by index: each
+    instance scans its pairs in the given order (range, then a repeated
+    source, then a repeated image), then its phases in index order."""
+
+    def __init__(self, algebra, pairs, phases=None):
+        if not isinstance(pairs, Mapping):
+            pairs = dict(pairs)
+        n = algebra.n
+        pmap, inverse = {}, {}
+        for i, j in pairs.items():
+            i, j = int(i), int(j)
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"pair {i}->{j} out of range")
+            if i in pmap:
+                raise NotInjective(i, i, pmap[i])
+            if j in inverse:
+                raise NotInjective(inverse[j], i, j)
+            pmap[i] = j
+            inverse[j] = i
+        self.algebra = algebra
+        self._map = dict(sorted(pmap.items()))
+        if phases is None:
+            self._phase = {i: 1.0 + 0.0j for i in self._map}
+        else:
+            keyed = isinstance(phases, Mapping)
+            ph = {}
+            for i in self._map:
+                lam = complex(phases.get(i, 1.0) if keyed else phases[i])
+                if not abs(abs(lam) - 1.0) <= EXACT_SLACK:
+                    raise ValueError(f"phase at {i} is not unimodular")
+                ph[i] = lam
+            self._phase = ph
+
+    @property
+    def pairs(self):
+        return tuple(self._map.items())
+
+    @property
+    def phases(self):
+        return dict(self._phase)
+
+    def __call__(self, i):
+        return self._map[i]
+
+    def phase(self, i):
+        return self._phase[i]
+
+    @property
+    def is_unitary(self):
+        return len(self._map) == self.algebra.n
+
+    def adjoint(self):
+        pairs = {j: i for i, j in self._map.items()}
+        phases = {j: self._phase[i].conjugate() for i, j in self._map.items()}
+        return PartialIsometry(self.algebra, pairs, phases)
+
+    def __matmul__(self, other):
+        if other.algebra.n != self.algebra.n:
+            raise ValueError("size mismatch in partial isometry product")
+        pairs, phases = {}, {}
+        for i, j in other._map.items():
+            if j in self._map:
+                pairs[i] = self._map[j]
+                phases[i] = other._phase[i] * self._phase[j]
+        return PartialIsometry(self.algebra, pairs, phases)
+
+    def __eq__(self, other):
+        return (self.algebra == other.algebra and self._map == other._map
+                and all(abs(self._phase[i] - other._phase[i]) <= EXACT_SLACK
+                        for i in self._map))
+
+
+def _perm_phase(v):
+    """(perm, phase) of a total monomial, read off its sorted dicts."""
+    return ((0, *(j for _, j in v.pairs)),
+            (1.0 + 0.0j, *v.phases.values()))
+
+
+def monomial(a, at, to, phase):
+    pairs, phases = list(range(a.n + 1)), [1.0 + 0.0j] * (a.n + 1)
+    for i, j, x in zip(at, to, phase):
+        pairs[i], phases[i] = j, x
+    return PartialIsometry(a, zip(range(1, a.n + 1), pairs[1:]), phases)
+
+
+def conjugate_monomial(phi, v):
+    """homs.conjugate_standard on a dict monomial."""
+    if not v.is_unitary:
+        raise ValueError("conjugation needs a total monomial")
+    if v.algebra.n != phi.target.n:
+        raise ValueError("unitary is over the wrong algebra")
+    perm, phase = _perm_phase(v)
+    return StandardRegularMap._derived(
+        phi.source, phi.target, phi.src, tuple(perm[j] for j in phi.tgt),
+        phi.piece,
+        tuple(x * phase[j] for x, j in zip(_weights(phi), phi.tgt)),
+        phi.pieces)
+
+
+def apply_monomial(phi, v):
+    """homs.apply_to_unitary on a dict monomial."""
+    if not v.is_unitary:
+        raise ValueError("apply_to_unitary needs a total monomial")
+    if v.algebra.n != phi.source.n:
+        raise ValueError("unitary is over the wrong algebra")
+    perm, phase = _perm_phase(v)
+    cls = phi.source.class_index
+    if any(cls(i) != cls(perm[i]) for i in phi.src):
+        raise ValueError("unitary does not preserve cstar classes")
+    row = {pi: k for k, pi in enumerate(zip(phi.piece, phi.src))}
+    at = [row[p, perm[i]] for p, i in zip(phi.piece, phi.src)]
+    w = _weights(phi)
+    return monomial(phi.target, phi.tgt, [phi.tgt[k] for k in at], [
+        phase[i] * w[k] * x.conjugate() for i, k, x in zip(phi.src, at, w)])
+
+
+def encode_monomial(f):
+    """The factor row io.encode_unitary wrote for a dict monomial."""
+    dom = sorted(f._map)
+    return {"type": "monomial",
+            "pairs": [[i, f(i)] for i in dom],
+            "phases": [[i, encode_complex(f.phase(i))] for i in dom]}

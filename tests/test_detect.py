@@ -269,9 +269,11 @@ def _check_against_oracle(phi):
         with pytest.raises(InconsistentRanks) as got:
             la.summand_census(phi)
         assert got.value.args == exc.args and got.value.data == exc.data
+        assert all(type(x) is int for x in got.value.data.values())
     else:
         got = la.summand_census(phi)
         assert got == want and got.total_rank == want.total_rank
+        assert type(got.residual_rank) is type(got.total_rank) is int
     src, tgt = phi.source, phi.target
     for c in range(len(src.cstar_classes)):
         word = la.test_word(src, c)

@@ -229,6 +229,88 @@ def test_table_matches_the_dict_implementation(seed, exact):
         assert m.class_multiset() == ref.class_multiset(ref.of(m))
 
 
+# phases on the unit circle, signed zeros included
+_SIGNED_PHASES = (complex(0.0, -1.0), complex(-0.0, 1.0), complex(-1.0, -0.0),
+                  complex(1.0, -0.0), complex(-0.0, -1.0))
+
+
+def _random_pairs(rng, a, kind):
+    """(pairs, phases) of a random monomial over a: a block-preserving
+    permutation, any permutation, or any injection of a random domain, by
+    kind; pairs in shuffled order, arbitrary unimodular phases, keyed or as
+    a sequence indexed by i."""
+    n = a.n
+    dom = (np.arange(1, n + 1) if kind != "partial"
+           else np.flatnonzero(rng.random(n) < 0.6) + 1)
+    img = (random_block_permutation(rng, a) if kind == "block"
+           else rng.permutation(n)[:len(dom)] + 1)
+    pairs = dict(zip(map(int, dom), map(int, img)))
+    pairs = {i: pairs[i] for i in map(int, rng.permutation(dom))}
+    pool = EXACT_PHASES + _SIGNED_PHASES
+    ph = [pool[rng.integers(len(pool))] if rng.random() < 0.5
+          else complex(np.exp(2j * np.pi * rng.random()))
+          for _ in range(n + 1)]
+    if rng.random() < 0.3:
+        return pairs, ph
+    return pairs, {i: ph[i] for i in pairs if rng.random() < 0.8}
+
+
+def _outcome_of(build):
+    """What build returns, as pair and phase bits or a table, or its error."""
+    try:
+        out = build()
+    except (ValueError, LimitalgError) as e:
+        return type(e).__name__, str(e), getattr(e, "data", None)
+    if isinstance(out, la.StandardRegularMap):
+        return _table(out)
+    assert all(type(x) is complex for x in out.phases.values())
+    return _monomial_bits(out), [_bits(x) for x in out.phases.values()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**9))
+def test_tuple_monomials_match_the_dict_implementation(seed):
+    from limitalg import io as iolib
+    rng = np.random.default_rng(seed)
+    phi = random_standard_map(rng, pad=int(rng.integers(0, 2)),
+                              exact=bool(rng.integers(0, 2)))
+    a = phi.target
+    psi = random_standard_map(rng, source=a, copies=2)
+    made = [_random_pairs(rng, a, kind)
+            for kind in ("block", "block", "partial", "any")]
+    new = [la.StandardPartialIsometry(a, p, ph) for p, ph in made]
+    old = [ref.PartialIsometry(a, p, ph) for p, ph in made]
+    new += [new[0].adjoint(), new[0] @ new[1], new[2] @ new[0],
+            new[0] @ new[2].adjoint(), la.identity_unitary(a)]
+    old += [old[0].adjoint(), old[0] @ old[1], old[2] @ old[0],
+            old[0] @ old[2].adjoint(), ref.PartialIsometry(a, {
+                i: i for i in range(1, a.n + 1)})]
+    for v, w in zip(new, old):
+        assert _outcome_of(lambda: v) == _outcome_of(lambda: w)
+        assert _outcome_of(v.adjoint) == _outcome_of(w.adjoint)
+        assert _outcome_of(lambda: la.conjugate_standard(phi, v)) == (
+            _outcome_of(lambda: ref.conjugate_monomial(phi, w)))
+        assert _outcome_of(lambda: la.apply_to_unitary(psi, v)) == (
+            _outcome_of(lambda: ref.apply_monomial(psi, w)))
+        assert [v == x for x in new] == [w == x for x in old]
+    assert iolib.canonical_dumps(iolib.encode_unitary(la.Unitary(a.n, new))) == (
+        iolib.canonical_dumps({"n": a.n, "factors": [
+            ref.encode_monomial(w) for w in old]}))
+    # the errors, on pairs in ascending order
+    pairs = dict(sorted(made[0][0].items()))
+    i = int(rng.integers(1, a.n + 1))
+    bad = [({**pairs, i: a.n + 1}, None), ({**pairs, i: 0}, None),
+           ({**pairs, a.n + 1: 1}, None), ({0: 1, **pairs}, None),
+           ({**pairs, i: a.n + 1, a.n + 1: 1}, None),
+           (pairs, {i: 1.0 + 1e-9}), (pairs, {i: complex("nan")})]
+    if i < a.n:
+        bad += [({**pairs, a.n: pairs[i]}, None),
+                ({**pairs, a.n: pairs[i], a.n + 1: 0}, None)]
+    for p, ph in bad:
+        assert _outcome_of(lambda: la.StandardPartialIsometry(a, p, ph)) == (
+            _outcome_of(lambda: ref.PartialIsometry(a, p, ph)))
+
+
 def _tuple_columns(phi) -> bool:
     ints = all(type(c) is tuple and all(type(x) is int for x in c)
                for c in (phi.src, phi.tgt, phi.piece))
@@ -865,21 +947,39 @@ def test_generator_check_accepts_valid_maps_and_sends_the_rest_on(
 
 
 def test_sweep_above_the_cap_raises_capacity_exceeded(monkeypatch):
-    # the V algebra (1 -> 3 <- 2) has 9 envelope units, so 81 pairs
+    # the V algebra (1 -> 3 <- 2) has 9 envelope units, so 81 pairs; a
+    # doubled e_13 is not multiplicative, so the generator check sends the
+    # map to the sweep, which the cap stops
     v = la.build_digraph_algebra(3, [(1, 1), (2, 2), (3, 3), (1, 3), (2, 3)])
     phi = la.direct_sum(la.identity_map(v), la.identity_map(v))
     images = dict(la.to_numeric(phi).images)
+    doubled = {**images, (1, 3): 2 * images[(1, 3)]}
     monkeypatch.setattr(homs, "_SWEEP_CAP", 80)
     with pytest.raises(CapacityExceeded) as err:
-        la.validate_numeric(images, phi.source, phi.target)
+        la.validate_numeric(doubled, phi.source, phi.target)
     assert err.value.data == {"units": 9, "pairs": 81, "cap": 80}
     assert "9 envelope units" in str(err.value)
     # the star and range checks still run first
-    bad = {**images, (3, 3): images[(3, 3)] + 1j * images[(1, 3)]}
+    bad = {**doubled, (3, 3): images[(3, 3)] + 1j * images[(1, 3)]}
     with pytest.raises(NotStarConsistent):
         la.validate_numeric(bad, phi.source, phi.target)
     monkeypatch.setattr(homs, "_SWEEP_CAP", 81)
-    la.validate_numeric(images, phi.source, phi.target)
+    with pytest.raises(NotMultiplicative):
+        la.validate_numeric(doubled, phi.source, phi.target)
+
+
+def test_valid_map_above_the_cap_is_accepted_without_the_sweep(monkeypatch):
+    # the identity of T30 conjugated by diagonal phases: 900 envelope units,
+    # 810000 pairs, above the cap, accepted by the generator check alone
+    a = la.tr_algebra(30)
+    d = np.diag(np.exp(2j * np.pi * np.random.default_rng(3).random(a.n)))
+    images = _conjugated(d, la.to_numeric(la.identity_map(a)).images)
+    assert len(a.envelope_units()[0]) ** 2 > homs._SWEEP_CAP
+    calls = _count_sweeps(monkeypatch)
+    got = la.validate_numeric(images, a, a)
+    assert calls == []
+    assert np.array_equal(got.stack, np.stack([images[e]
+                                               for e in sorted(a.edges)]))
 
 
 # per-edge loops of the dict-based numeric layer, kept as oracles for the

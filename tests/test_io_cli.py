@@ -625,6 +625,10 @@ def test_cli_rejects_non_edge_images_and_non_finite_numbers(
 def test_cli_sweep_above_the_cap_exits_2(tmp_path, capsys, monkeypatch):
     from limitalg import homs
     doc = iolib.encode_map(la.to_numeric(la.refinement_map(2, 1, 2)))
+    # a doubled image of e_12 is not multiplicative, so only the sweep,
+    # which the cap stops, could decide it
+    e12 = next(r for r in doc["images"] if (r["i"], r["j"]) == (1, 2))
+    e12["matrix"] = (2 * np.array(e12["matrix"])).tolist()
     p = write_json(tmp_path / "num.json", doc)
     monkeypatch.setattr(homs, "_SWEEP_CAP", 1)
     for verb in ("regular-test", "standardize", "detect"):
