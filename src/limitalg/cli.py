@@ -3,11 +3,12 @@
 Exit codes: 0 for success or a positive verdict, 1 for a negative verdict,
 2 for input or usage problems, 3 when an internal self-check fails (a bug
 in limitalg, not bad input); 2 and 3 both print an error payload.
-LIMITALG_TOL replaces the default map tolerance 1e-9 when files are read,
-and certificates use max(map tolerance, LIMITALG_TOL); every other cut-off
-is a fixed constant of limitalg.tolerance. --output additionally writes
-the report to a file. Reports are canonical JSON on standard output,
-deterministic for fixed input.
+LIMITALG_TOL replaces the default map tolerance 1e-9 when files are read;
+that is its one way to a verdict, which is decided at the map's own
+tolerance floored at DENSE_FLOOR (map_tolerance; for intertwine, each
+crossover's). Every other cut-off is a fixed constant of
+limitalg.tolerance. --output also writes the report to a file. Reports are
+canonical JSON on standard output, deterministic for fixed input.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (CensusMismatch, InconsistentRanks, InternalError,
 from .homs import StandardRegularMap, Unitary, to_numeric
 from .intertwine import approx_intertwine, exact_intertwine
 from .spectrum import compare_relations, cylinder_relation
-from .tolerance import DEFAULT_TOL
+from .tolerance import DEFAULT_TOL, map_tolerance
 
 _VERDICT_ERRORS = (NotInnerEquivalent, NotRegular, CensusMismatch,
                    TooFarApart, TriangleNotCommuting, ResidualTooLarge,
@@ -178,7 +179,7 @@ def _cmd_standardize(ns, tol: float):
                    "census": _census(m).as_payload(),
                    "standard_form": iolib.encode_standard_map(m),
                    "unitary": iolib.encode_unitary(Unitary(m.target.n, []))}
-    cert = is_regular(m, tol=max(m.tolerance, tol))
+    cert = is_regular(m)
     report = cert.as_payload()
     if cert.regular:
         report["standard_form"] = iolib.encode_standard_map(cert.standard_form)
@@ -199,8 +200,6 @@ def _cmd_intertwine(ns, tol: float):
     except _VERDICT_ERRORS as exc:
         return 1, {"corrected": None, "reason": _error_payload(exc),
                    "tolerance": tol}
-    worst = max((row["residual"] for row in out.report.triangles),
-                default=0.0)
     report = {
         "mode": d.mode,
         "corrected": {
@@ -212,12 +211,13 @@ def _cmd_intertwine(ns, tol: float):
         "report": out.report.as_payload(),
         "tolerance": tol,
     }
-    if out.witness_residuals is not None:
-        report["witness_residuals"] = _jsonable(out.witness_residuals)
-        worst = max([worst] + list(out.witness_residuals.get("alphas", []))
-                    + list(out.witness_residuals.get("betas", [])))
-    report["max_residual"] = worst
-    return (0 if worst <= tol else 1), report
+    wr = out.witness_residuals or {}
+    if wr:
+        report["witness_residuals"] = _jsonable(wr)
+    gates = [(r, map_tolerance(m)) for role, rs in wr.items()
+             for r, m in zip(rs, getattr(d, role))]
+    report["max_residual"] = max([r for r, _ in gates], default=0.0)
+    return (0 if all(r <= t for r, t in gates) else 1), report
 
 
 def _cmd_detect(ns, tol: float):
@@ -255,7 +255,7 @@ def _cmd_regular_test(ns, tol: float):
                    "class_multiset": [[list(p) for p in key]
                                       for key in census.multiset()],
                    "census": census.as_payload()}
-    cert = is_regular(phi, tol=max(phi.tolerance, tol))
+    cert = is_regular(phi)
     report = cert.as_payload()
     report["threshold"] = c
     if cert.census is not None:

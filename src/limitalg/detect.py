@@ -89,12 +89,8 @@ def test_word(a: DigraphAlgebra, c: int) -> TestWord:
             path.pop()
             if path:
                 steps.append((u, path[-1][0]))
-    if not steps:
-        tokens = ((root, root, False),)
-    else:
-        tokens = tuple(
-            (u, v, False) if a.has_edge(u, v) else (v, u, True)
-            for (u, v) in steps)
+    tokens = tuple((u, v, False) if a.has_edge(u, v) else (v, u, True)
+                   for (u, v) in steps) or ((root, root, False),)
     n = len(tokens)
     return TestWord(tokens, root, n, 1.0 / (n + 1), verts)
 
@@ -314,7 +310,7 @@ def summand_census(phi: NumericStarMap) -> SummandCensus:
     InconsistentRanks are unchanged on every input, at every tolerance.
     """
     src, tgt = phi.source, phi.target
-    ranks = np.array(phi.rank_matrix().entries, dtype=np.int64)
+    ranks = phi._ranks()
     found = {}
     for c in range(len(src.cstar_classes)):
         word = test_word(src, c)
@@ -464,21 +460,20 @@ class RegularityCertificate:
         return out
 
 
-def is_regular(phi: NumericStarMap,
-               tol: Optional[float] = None) -> RegularityCertificate:
+def is_regular(phi: NumericStarMap) -> RegularityCertificate:
     """Decide regularity and produce a unitary onto a standard form.
 
     The census fixes the only possible class multiset; when its residual is
     zero, a block-diagonal unitary onto the canonical standard form is
     written down from matrix units (_census_intertwiner), and the verdict
-    is map_distance(Ad U phi, psi) <= tol, the only threshold. The verdict
-    always carries evidence.
+    is map_distance(Ad U phi, psi) <= map_tolerance(phi), the only
+    threshold. The verdict always carries evidence.
 
     Beyond the census, the cost is one SVD per census class (of its test
     product), sum_C |C| pairs of n x n products, and one SVD per target
     block.
     """
-    tol = map_tolerance(phi) if tol is None else float(tol)
+    tol = map_tolerance(phi)
     try:
         census = summand_census(phi)
     except InconsistentRanks as exc:

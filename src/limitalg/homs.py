@@ -562,18 +562,20 @@ class NumericStarMap:
         return self._env
 
     def rank_matrix(self) -> RankMatrix:
-        """Entry (r, j): the trace of the image of e_jj on target block r,
-        rounded. Each block trace is summed index by index, as a per-image
-        loop would: the padded gather adds exact zeros after a block's
-        indices, and cumsum adds left to right."""
+        """Entry (r, j): the rounded trace of phi(e_jj) on target block r."""
+        return RankMatrix(tuple(map(tuple, self._ranks().tolist())))
+
+    def _ranks(self) -> np.ndarray:
+        """rank_matrix as a (blocks, source n) int array. Each block trace
+        is summed index by index, as a per-image loop would: the padded
+        gather adds exact zeros after a block's indices, and cumsum adds
+        left to right."""
         s, row = self.source.n, self.source.envelope_units()[1]
         blocks = self.target.block_layout().blocks
         j = np.arange(1, s + 1)
         diag = self.stack[row[j, j]].diagonal(axis1=1, axis2=2).real
         terms = np.where(blocks.real, diag[:, blocks.padded], 0.0)
-        traces = np.cumsum(terms, axis=2)[:, :, -1]
-        return RankMatrix(tuple(map(tuple,
-                                    np.rint(traces).astype(int).T.tolist())))
+        return np.rint(np.cumsum(terms, axis=2)[:, :, -1]).astype(np.int64).T
 
     def __repr__(self) -> str:
         return (f"NumericStarMap({self.source.n} -> {self.target.n}, "

@@ -342,7 +342,9 @@ def parse_numeric_map(doc, pointer: str, algebras=None,
     d = _as_dict(doc, pointer)
     source = parse_algebra(d.get("source"), pointer + "/source", algebras)
     target = parse_algebra(d.get("target"), pointer + "/target", algebras)
-    tol = _as_real(d.get("tolerance", default_tol), pointer + "/tolerance")
+    at = pointer + "/tolerance"
+    if (tol := _as_real(d.get("tolerance", default_tol), at)) < 0:
+        _fail(at, f"expected a nonnegative number, got {tol!r}")
     rows = _as_list(d.get("images"), pointer + "/images")
     images = {}
     for k, row in enumerate(rows):

@@ -456,7 +456,7 @@ def test_a8_regularity_decision():
     for k, (psi, constructed_regular) in enumerate(curated):
         oracle = _oracle_regular(psi, seed=1000 + k)
         assert oracle == constructed_regular
-        cert = la.is_regular(psi, tol=1e-9)
+        cert = la.is_regular(psi)
         assert cert.regular == oracle
         if not constructed_regular:
             assert cert.reason == "conjugation residual exceeds tolerance"

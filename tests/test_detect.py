@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import limitalg as la
-from limitalg import detect
+from limitalg import detect, tolerance
 from limitalg.errors import (CapacityExceeded, InconsistentRanks, NotRegular,
                              SourceTargetMismatch, TooFarApart)
 
@@ -537,7 +537,7 @@ def test_intertwiner_unitary_oracle(seed, eps):
     h = random_block_hermitian(rng, phi.target)
     moved = la.conjugate_numeric(unitary_exp(h, eps), la.to_numeric(phi))
     u, psi_n = _solve(moved)
-    tol = max(moved.tolerance, la.DEFAULT_TOL)
+    tol = tolerance.map_tolerance(moved)
     _assert_block_unitary(u, phi.target, tol)
     assert la.map_distance(la.conjugate_numeric(u, moved), psi_n) <= tol
 

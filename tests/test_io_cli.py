@@ -332,6 +332,39 @@ def test_cli_intertwine(tmp_path):
     assert (code2, report2) == (code, report)
 
 
+def test_cli_certifies_at_the_tolerance_a_file_names(tmp_path):
+    from conftest import random_block_hermitian, unitary_exp
+    rng = np.random.default_rng(131)
+    phi = la.to_numeric(la.refinement_map(2, 1, 2))
+    h = random_block_hermitian(rng, phi.target)
+    moved = la.conjugate_numeric(unitary_exp(h, 0.3), phi)
+    moved = la.validate_numeric(moved.images, moved.source, moved.target,
+                                tol=1e-11)
+    p = write_json(tmp_path / "num.json", iolib.encode_map(moved))
+    for verb in ("regular-test", "standardize"):
+        code, report = run_command(verb, ["--map", p])
+        assert (code, report["regular"]) == (0, True)
+        assert report["tolerance"] == 1e-11
+
+
+def test_cli_intertwine_gates_each_witness_at_its_crossover(tmp_path):
+    """A witness residual above the default 1e-9 but within the 1e-6 its
+    crossover names passes."""
+    d = tower_workspace().diagrams["demo"]
+    alphas = tuple(
+        la.validate_numeric({e: m * (1 + 1e-7) for e, m in
+                             la.to_numeric(a).images.items()},
+                            a.source, a.target, tol=1e-6)
+        for a in d.alphas)
+    approx = la.CrossoverDiagram(d.top, d.bottom, alphas, d.betas,
+                                 mode="approximate")
+    p = write_json(tmp_path / "approx.json", iolib.encode_diagram(approx))
+    code, report = run_command("intertwine", ["--diagram", p])
+    assert 1e-9 < max(report["witness_residuals"]["alphas"]) <= 1e-6
+    assert report["max_residual"] == max(report["witness_residuals"]["alphas"])
+    assert code == 0
+
+
 def test_cli_detect(tmp_path):
     phi = la.refinement_map(2, 1, 2)
     p = write_json(tmp_path / "m.json", iolib.encode_map(phi))
@@ -584,7 +617,8 @@ def test_cli_rejects_non_edge_images_and_non_finite_numbers(
                              "ShapeMismatch")
         assert f"({i},{j})" in err["message"]
 
-    for k, value in enumerate((float("nan"), float("inf"), -float("inf"))):
+    for k, value in enumerate((float("nan"), float("inf"), -float("inf"),
+                               -1.0)):
         p = _write_raw(tmp_path / f"tol{k}.json", dict(doc, tolerance=value))
         for verb in ("regular-test", "standardize", "detect"):
             err = _typed_failure([verb, "--map", p], capsys, "SchemaError")
@@ -1005,3 +1039,74 @@ def test_standard_map_documents_parse_or_fail_typed(source, target, rows):
         return
     assert isinstance(phi, la.StandardRegularMap)
     assert phi.source is iolib.parse_algebra(source, "")
+
+
+# the other document kinds under one-field mutations: each field of a valid
+# document, in turn, replaced by one of a few fixed values or deleted, gives
+# an object or a typed error (the ones the CLI maps to exit 2), never a
+# KeyError, TypeError, AttributeError or IndexError
+
+_SUBSTITUTES = (None, "x", True, 1.5, -1, 0, 1, 2, [], [0], {}, {"n": 1})
+_DELETE = object()
+
+
+def _fields(node, path=()):
+    """The path of every dict entry and list item inside node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _fields(child, path + (key,))
+
+
+def _mutated(doc, path, value):
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = copy.deepcopy(value)
+    return out
+
+
+def _fuzz_documents():
+    """A small valid document of each kind, and the parser that reads it."""
+    t2, m2 = la.tr_algebra(2), la.full_matrix_algebra(2)
+    numeric = la.to_numeric(la.assemble_regular(
+        [la.validate_multiplicity_one({1: 1, 2: 2}, t2, m2)]))
+    ws = tower_workspace()
+    demo = ws.diagrams["demo"]
+    approx = la.CrossoverDiagram(
+        demo.top, demo.bottom,
+        (la.to_numeric(demo.alphas[0]),) + demo.alphas[1:], demo.betas,
+        mode="approximate", budgets={"top": (0.5,), "bottom": (0.5,)})
+    return {
+        "map": (iolib.encode_map(numeric),
+                lambda doc: iolib.parse_map(doc, "")),
+        "system": (iolib.encode_system(uhf_system(2, 2)),
+                   lambda doc: iolib.parse_system(doc, "")),
+        "diagram": (iolib.encode_diagram(approx),
+                    lambda doc: iolib.parse_diagram(doc, "")),
+        "workspace": (iolib.encode_workspace(ws), iolib.parse_workspace),
+    }
+
+
+@pytest.mark.parametrize("kind", ["map", "system", "diagram", "workspace"])
+def test_documents_under_one_field_mutations_fail_typed(kind):
+    doc, parse = _fuzz_documents()[kind]
+    parse(copy.deepcopy(doc))
+    for path in list(_fields(doc)):
+        for value in _SUBSTITUTES + (_DELETE,):
+            try:
+                parse(_mutated(doc, path, value))
+            except (LimitalgError, ValueError):
+                pass
+            except Exception as exc:
+                pytest.fail(f"{kind} {path} <- {value!r}: "
+                            f"{type(exc).__name__}: {exc}")

@@ -30,14 +30,17 @@ def test_default_tolerance_is_one_name():
     assert la.DEFAULT_TOL is homs.DEFAULT_TOL is tolerance.DEFAULT_TOL
 
 
-def test_map_tolerance_floors_at_the_default():
+def test_map_tolerance_floors_at_the_dense_floor():
     a, t2 = la.full_matrix_algebra(1), la.full_matrix_algebra(2)
     ident = la.to_numeric(la.identity_map(a))
-    for tol, want in ((0.9e-9, la.DEFAULT_TOL), (1.1e-9, 1.1e-9)):
+    floor = tolerance.DENSE_FLOOR
+    for tol, want in ((0.9e-12, floor), (1.1e-12, 1.1e-12)):
         phi = la.validate_numeric(ident.images, a, a, tol=tol)
         assert la.is_regular(phi).tolerance == want
+    # a standard map is exact: it gets the floor
+    assert tolerance.map_tolerance(la.identity_map(a)) == floor
     # the masa flag of a crossover compares at the floored tolerance
-    for off, preserved in ((0.9e-9, True), (1.1e-9, False)):
+    for off, preserved in ((0.9e-12, True), (1.1e-12, False)):
         img = np.array([[[1.0, off], [0.0, 0.0]]], dtype=complex)
         alpha = la.NumericStarMap(a, t2, img, 0.0)
         d = la.CrossoverDiagram(la.DirectSystem((a,), ()),
