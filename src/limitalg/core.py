@@ -245,6 +245,30 @@ class Partition:
     real: np.ndarray
     indicator: np.ndarray
 
+    @functools.cached_property
+    def cells(self) -> tuple:
+        """(block, dense): the flat positions of the cells (i, j) with i
+        and j in one part, row-major by part, in a (parts, width, width)
+        stack of padded diagonal blocks and in the n x n matrix; read-only,
+        built on first use."""
+        p, a, b = np.nonzero(self.real[:, :, None] & self.real[:, None, :])
+        width = self.padded.shape[1]
+        block = (p * width + a) * width + b
+        dense = self.padded[p, a] * len(self.of) + self.padded[p, b]
+        block.setflags(write=False)
+        dense.setflags(write=False)
+        return block, dense
+
+    @functools.cached_property
+    def apart(self) -> np.ndarray:
+        """Read-only bool (n, 2n) mask of the cells (i, j) with i and j in
+        different parts, each doubled along its row, as the float view of
+        a complex n x n matrix interleaves real and imaginary parts; built
+        on first use."""
+        apart = np.repeat(self.of[:, None] != self.of, 2, axis=1)
+        apart.setflags(write=False)
+        return apart
+
 
 def _partition(n: int, parts: Sequence) -> Partition:
     width = max(map(len, parts))

@@ -39,6 +39,23 @@ from .tolerance import (DEFAULT_TOL, DENSE_FLOOR, EXACT_SLACK,
 # raises CapacityExceeded in place of a sweep over more pairs than this
 _SWEEP_CAP = 250_000
 
+# bytes of the largest dense (rows, n, n) complex stack of images that
+# to_numeric, validate_numeric or an envelope allocates; a larger one
+# raises CapacityExceeded before any memory is asked for
+DENSE_BUDGET = 1 << 30
+
+
+def _check_budget(rows: int, n: int) -> None:
+    """CapacityExceeded when a (rows, n, n) complex stack would take more
+    than DENSE_BUDGET bytes."""
+    size = 16 * rows * n * n
+    if size > DENSE_BUDGET:
+        raise CapacityExceeded(
+            f"a dense stack of {rows} images of size {n} needs {size} bytes, "
+            f"above the budget of {DENSE_BUDGET}", rows=rows, n=n,
+            bytes=size, budget=DENSE_BUDGET)
+
+
 def operator_norm(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
@@ -517,9 +534,12 @@ class NumericStarMap:
     given rather than copying it. images maps each edge to its row, and
     is built once. Build through validate_numeric or to_numeric. The
     envelope (images of the matrix units of the generated C*-algebra, not
-    just of the algebra) is one read-only stack in the order of
+    just of the algebra) is one dense read-only stack in the order of
     source.envelope_units(), whose leading rows are the edge images; it is
-    derived lazily from a spanning tree of each class.
+    derived lazily from a spanning tree of each class by
+    _envelope_extension, on the target's C*-class blocks when the edge
+    images are exactly zero off them. A stack above DENSE_BUDGET bytes
+    raises CapacityExceeded before it is allocated.
     """
 
     __slots__ = ("source", "target", "stack", "images", "tolerance", "_env")
@@ -553,10 +573,12 @@ class NumericStarMap:
 
     def _envelope(self) -> np.ndarray:
         if self._env is None:
-            env = np.empty((len(self.source.envelope_units()[0]),)
-                           + self.stack.shape[1:], dtype=complex)
+            rows, n = len(self.source.envelope_units()[0]), self.target.n
+            _check_budget(rows, n)
+            env = np.empty((rows, n, n), dtype=complex)
             env[:len(self.stack)] = self.stack
-            _envelope_extension(env, self.source)
+            _envelope_extension(env, self.source,
+                                self.target.block_layout().classes)
             env.setflags(write=False)
             self._env = env
         return self._env
@@ -582,28 +604,52 @@ class NumericStarMap:
                 f"tol={self.tolerance:g})")
 
 
-def _envelope_extension(env: np.ndarray, source: DigraphAlgebra
-                        ) -> np.ndarray:
-    """Fill the non-edge rows of an envelope stack in place, and return
-    the tree products.
+def _envelope_extension(env: np.ndarray, source: DigraphAlgebra,
+                        classes) -> tuple:
+    """Fill the non-edge rows of an envelope stack in place; return the
+    blocks its units were formed on, with those units and tree products.
 
-    env is a (u, n, n) stack in the order of source.envelope_units() whose
-    edge rows hold the edge images. Products along the class tree from its
-    root define R_x = e_{root,x}, returned as an (s, n, n) stack in source
-    index order; then e_xy = R_x* R_y.
+    env is a C-contiguous (u, n, n) stack in the order of
+    source.envelope_units() whose edge rows hold the edge images, and
+    classes the target's C*-classes as a Partition. Products along the
+    class tree from its root define R_x = e_{root,x}; then
+    e_xy = R_x* R_y. Finite images that are exactly zero off the diagonal
+    blocks of two or more classes have products that are exactly zero
+    there too. Then part is classes, and every product is formed on those
+    blocks, each padded with zeros to the widest class (width w), and
+    scattered back into env. Otherwise part is None, one block of all n
+    indices (P = 1, w = n), and the products are dense ones. Returns
+    (part, blocks, reach): the envelope as a (u, P, w, w) stack of blocks,
+    and R_x as an (s, P, w, w) stack in source index order. A block
+    product can round otherwise than the dense one, in the last bits,
+    within PRODUCT_ROUNDING n eps ||A||_F ||B||_F.
     """
     units, row = source.envelope_units()
-    reach = np.empty((source.n,) + env.shape[1:], dtype=complex)
+    u, ne, n = len(units), len(source.edges), env.shape[1]
+    flat = env.reshape(u, n * n)
+    # != 0 sees a subnormal that a squared norm would lose
+    part = (classes if len(classes.parts) > 1 and not (
+        (env[:ne].view(float) != 0) & classes.apart).any() else None)
+    if part is None:
+        blocks = env[:, None]
+    else:
+        block, dense = part.cells
+        nb, w = part.padded.shape
+        blocks = np.zeros((u, nb, w, w), dtype=complex)
+        blocks.reshape(u, -1)[:ne, block] = np.take(flat[:ne], dense, axis=1)
+    reach = np.empty((source.n,) + blocks.shape[1:], dtype=complex)
     for cls, tree in zip(source.cstar_classes, source.class_trees):
-        reach[cls[0] - 1] = env[row[cls[0], cls[0]]]
+        reach[cls[0] - 1] = blocks[row[cls[0], cls[0]]]
         for p, c in tree:
-            step = (env[row[p, c]] if source.has_edge(p, c)
-                    else env[row[c, p]].conj().T)
+            step = (blocks[row[p, c]] if source.has_edge(p, c)
+                    else blocks[row[c, p]].conj().swapaxes(1, 2))
             reach[c - 1] = reach[p - 1] @ step
-    for k in range(len(source.edges), len(units)):
-        i, j = units[k]
-        env[k] = reach[i - 1].conj().T @ reach[j - 1]
-    return reach
+    i, j = np.array(units[ne:], dtype=int).reshape(-1, 2).T - 1
+    np.matmul(reach[i].conj().swapaxes(2, 3), reach[j], out=blocks[ne:])
+    if part is not None:
+        flat[ne:] = 0
+        flat[ne:, dense] = np.take(blocks.reshape(u, -1)[ne:], block, axis=1)
+    return part, blocks, reach
 
 
 def _residual_over(x: np.ndarray, tol: float) -> Optional[float]:
@@ -676,15 +722,21 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
     per-pair loop rejects is always flagged. At tol = 0 every pair with
     nonzero norms is recomputed.
 
-    Cost. When every envelope image is exactly zero off the diagonal
-    blocks of the target's C*-classes, so is every product and residual,
-    and both checks multiply only those blocks, all at once in the
-    generator check: (|E| + s + s^2) sum_B m_B^3 flops for blocks of sizes
-    m_B, against u^2 sum_B m_B^3 for the sweep, which runs as one gemm per
-    block in chunks of bounded size (_CHUNK_BYTES). Otherwise they multiply
-    one block of all n indices. The images are copied once, into the
-    leading rows of the envelope stack; the stack becomes the envelope of
-    the map returned, and its leading rows the map's stack.
+    Cost. When the given images are exactly zero off the diagonal blocks
+    of two or more target C*-classes (tested entry by entry, so one
+    subnormal entry counts), so is every product and residual, and every
+    product is formed on those P blocks, padded to the widest class, w:
+    the s - |classes| tree products and the u - |E| derived units of
+    _envelope_extension, P w^3 flops each against n^3 for a dense one,
+    and the generator check, (|E| + s + s^2) P w^3 flops in all. The
+    sweep, u^2 sum_B m_B^3 flops for classes of sizes m_B, runs as one
+    gemm per class in chunks of bounded size (_CHUNK_BYTES). Otherwise
+    all of them multiply one block of all n indices. The images are copied
+    once into the leading rows of the envelope stack, u n^2 complex
+    entries (CapacityExceeded above DENSE_BUDGET bytes, before it is
+    allocated), and gathered once onto the blocks; the derived units are
+    scattered back, so the stack becomes the envelope of the map
+    returned, and its leading rows the map's stack.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
@@ -712,6 +764,7 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
                 f"image given for ({i},{j}), which is not a source edge")
 
     # envelope stack: the given images in edge order, then derived units
+    _check_budget(len(units), target.n)
     stack = np.empty((len(units), target.n, target.n), dtype=complex)
     for p, e in enumerate(edges):
         stack[p] = work[e]
@@ -740,12 +793,10 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
         if res is not None:
             raise NotInRange(i, j, res)
 
-    reach = _envelope_extension(stack, source)
+    part, blocks, reach = _envelope_extension(
+        stack, source, target.block_layout().classes)
     stack.setflags(write=False)
-    classes = target.block_layout().classes
-    part = (None if ((stack != 0) & (classes.of[:, None] != classes.of)).any()
-            else classes)
-    if not _generator_bound(source, stack, reach, part) <= cut:
+    if not _generator_bound(source, blocks, reach, target.n) <= cut:
         if len(units) ** 2 > _SWEEP_CAP:
             raise CapacityExceeded(
                 f"the multiplicativity sweep over {len(units)} envelope "
@@ -776,17 +827,6 @@ def _flagged(sq: np.ndarray, cut) -> Iterable:
     return zip(*np.nonzero(~(np.sqrt(sq) <= cut)))
 
 
-def _class_blocks(x: np.ndarray, part) -> np.ndarray:
-    """x (k, n, n) as (k, P, w, w): its diagonal blocks on the parts of a
-    Partition, zero on the padding; with part None, one block of all n."""
-    if part is None:
-        return x[:, None]
-    out = x[:, part.padded[:, :, None], part.padded[:, None, :]]
-    if not part.real.all():
-        out[:, ~(part.real[:, :, None] & part.real[:, None, :])] = 0
-    return out
-
-
 def _chunked_frob2(residual, count: int, item_bytes: int) -> np.ndarray:
     """_frob2 of residual(a, b) over chunks [a, b) of range(count), each
     about _CHUNK_BYTES, concatenated."""
@@ -795,16 +835,15 @@ def _chunked_frob2(residual, count: int, item_bytes: int) -> np.ndarray:
                            for a in range(0, count, step)])
 
 
-def _generator_bound(source: DigraphAlgebra, stack: np.ndarray,
-                     reach: np.ndarray, part) -> float:
-    """The bound B of validate_numeric on every pair residual of the
-    envelope stack, from its tree products reach, on the blocks of part
-    (a Partition of the target indices, or None for one block)."""
-    n, ne, s = stack.shape[1], len(source.edges), source.n
+def _generator_bound(source: DigraphAlgebra, blocks: np.ndarray,
+                     r: np.ndarray, n: int) -> float:
+    """The bound B of validate_numeric on every pair residual of an
+    envelope, from the envelope and its tree products on the target's
+    blocks, as _envelope_extension returns them; n is the target size."""
+    ne, s = len(source.edges), source.n
     cls = source.block_layout().classes
     root = cls.padded[cls.of, 0]
-    r = _class_blocks(reach, part)
-    g = _class_blocks(stack[:ne], part)
+    g = blocks[:ne]
     nb, w = r.shape[1], r.shape[2]
     rn = np.sqrt(_frob2(r))
     # the row Gram R_j R_k*, block by block, a chunk of rows j at a time
@@ -826,7 +865,7 @@ def _generator_bound(source: DigraphAlgebra, stack: np.ndarray,
         lambda a, b: r[ei[a:b]].conj().swapaxes(2, 3) @ r[ej[a:b]] - g[a:b],
         ne, 80 * nb * w * w))
     c = PRODUCT_ROUNDING * n * np.finfo(float).eps
-    nu, mu = rn.max(), np.sqrt(_frob2(stack).max())
+    nu, mu = rn.max(), np.sqrt(_frob2(blocks).max())
     zeta = (z + c * np.outer(rn, rn)).max()
     rho = (rho + c * rn[root] * rn).max()
     delta = max((tau + c * rn[ei] * rn[ej]).max(), c * nu * nu)
@@ -918,6 +957,7 @@ def to_numeric(phi) -> NumericStarMap:
     """
     if isinstance(phi, NumericStarMap):
         return phi
+    _check_budget(len(phi.source.edges), phi.target.n)
     # the sorted edges are the stack's rows in order
     edges = phi.source.envelope_units()[0][:len(phi.source.edges)]
     at, tgt, w = _rows_by_src(phi), phi.tgt, phi.weight

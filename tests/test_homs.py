@@ -687,21 +687,58 @@ def test_validate_numeric_rejects_non_finite_entries():
 # per-item validation loop, kept as the oracle for the batched checks
 
 
-def dict_envelope(images, source):
+def dict_envelope(images, source, target):
     """Images of all within-class matrix units, given-algebra ones verbatim,
-    as a dict built along the class trees."""
+    as a dict built along the class trees.
+
+    When the images are exactly zero off the diagonal blocks of two or more
+    target C*-classes, every product is formed block by block, each block
+    cut out with np.ix_ and zero-padded to the widest class, as
+    validate_numeric forms it; otherwise as one dense n x n product.
+    """
+    n = target.n
+    idx = [np.array(c) - 1 for c in target.cstar_classes]
+    inside = np.zeros((n, n), dtype=bool)
+    for c in idx:
+        inside[np.ix_(c, c)] = True
+    if len(idx) > 1 and not any((m[~inside] != 0).any()
+                                for m in images.values()):
+        w = max(map(len, idx))
+
+        def cut(m):
+            out = []
+            for c in idx:
+                blk = np.zeros((w, w), dtype=complex)
+                blk[:len(c), :len(c)] = m[np.ix_(c, c)]
+                out.append(blk)
+            return out
+
+        def join(blocks):
+            m = np.zeros((n, n), dtype=complex)
+            for c, blk in zip(idx, blocks):
+                m[np.ix_(c, c)] = blk[:len(c), :len(c)]
+            return m
+    else:
+        def cut(m):
+            return [m]
+
+        def join(blocks):
+            return blocks[0]
+
+    parts = {k: cut(m) for k, m in images.items()}
     env = {}
     for cls, tree in zip(source.cstar_classes, source.class_trees):
         root = cls[0]
-        reach = {root: images[(root, root)]}
+        reach = {root: parts[(root, root)]}
         for p, c in tree:
-            step = (images[(p, c)] if (p, c) in images
-                    else images[(c, p)].conj().T)
-            reach[c] = reach[p] @ step
+            step = (parts[(p, c)] if (p, c) in parts
+                    else [b.conj().T for b in parts[(c, p)]])
+            reach[c] = [a @ b for a, b in zip(reach[p], step)]
         for i in cls:
             for j in cls:
                 env[(i, j)] = (images[(i, j)] if (i, j) in images
-                               else reach[i].conj().T @ reach[j])
+                               else join([a.conj().T @ b for a, b
+                                          in zip(reach[i], reach[j])]))
     return env
 
 
@@ -724,7 +761,7 @@ def reference_validate(images, source, target, tol):
         res = homs._residual_over(off, tol)
         if res is not None:
             raise NotInRange(i, j, res)
-    env = dict_envelope(work, source)
+    env = dict_envelope(work, source, target)
     units = sorted(env)
     ci = source.class_index
     for (i, j), (k, l) in itertools.product(units, units):
@@ -859,12 +896,9 @@ def test_generator_bound_covers_every_pair_residual(seed, size, off_block):
             y = rng.normal(size=(tgt.n, tgt.n)) * (within | off_block)
             images[key] = images[key] + size * rng.random() * y
     units, row = src.envelope_units()
-    stack = np.zeros((len(units), tgt.n, tgt.n), dtype=complex)
-    for k, e in enumerate(units[:len(src.edges)]):
-        stack[k] = images[e]
-    reach = homs._envelope_extension(stack, src)
-    part = None if (stack * ~within).any() else classes
-    bound = homs._generator_bound(src, stack, reach, part)
+    stack = _edge_rows(images, src, tgt)
+    _, blocks, reach = homs._envelope_extension(stack, src, classes)
+    bound = homs._generator_bound(src, blocks, reach, tgt.n)
     worst = max(
         la.operator_norm(stack[row[i, j]] @ stack[row[k, l]]
                          - (stack[row[i, l]] if j == k else 0))
@@ -878,9 +912,9 @@ def test_sweep_splits_exactly_block_diagonal_targets_only(monkeypatch):
     seen = []
     bound = homs._generator_bound
 
-    def spy(source, stack, reach, part):
-        seen.append(1 if part is None else len(part.parts))
-        return bound(source, stack, reach, part)
+    def spy(source, blocks, reach, n):
+        seen.append(reach.shape[1])
+        return bound(source, blocks, reach, n)
 
     monkeypatch.setattr(homs, "_generator_bound", spy)
     rng = np.random.default_rng(5)
@@ -893,6 +927,130 @@ def test_sweep_splits_exactly_block_diagonal_targets_only(monkeypatch):
     images[(1, 1)][first[0] - 1, second[0] - 1] = 1e-12
     la.validate_numeric(images, phi.source, phi.target)
     assert seen[1:] == [1]
+
+
+def dense_envelope_extension(env, source):
+    """The envelope with every product a dense n x n one, filled in place,
+    and the tree products; the reference for the class-block path."""
+    units, row = source.envelope_units()
+    reach = np.empty((source.n,) + env.shape[1:], dtype=complex)
+    for cls, tree in zip(source.cstar_classes, source.class_trees):
+        reach[cls[0] - 1] = env[row[cls[0], cls[0]]]
+        for p, c in tree:
+            step = (env[row[p, c]] if source.has_edge(p, c)
+                    else env[row[c, p]].conj().T)
+            reach[c - 1] = reach[p - 1] @ step
+    for k in range(len(source.edges), len(units)):
+        i, j = units[k]
+        env[k] = reach[i - 1].conj().T @ reach[j - 1]
+    return reach
+
+
+def _edge_rows(images, source, target):
+    units = source.envelope_units()[0]
+    env = np.zeros((len(units), target.n, target.n), dtype=complex)
+    for k, e in enumerate(units[:len(source.edges)]):
+        env[k] = images[e]
+    return env
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9),
+       st.sampled_from(["one-class", "off-block", "monomial", "blocks"]))
+def test_block_envelope_matches_the_dense_products(seed, case):
+    """one-class: a target of one C*-class; off-block: one entry between
+    two classes; monomial: to_numeric images, one term per product entry.
+    These keep the dense bits. blocks: a block-diagonal conjugate, whose
+    derived units round within one product's bound of the dense ones."""
+    rng = np.random.default_rng(seed)
+    if case == "one-class":
+        src = la.tr_algebra(int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+        phi = random_standard_map(rng, source=src)
+        images = dict(la.to_numeric(phi).images)
+    else:
+        phi, images = _multi_block_images(rng)
+    src, tgt = phi.source, phi.target
+    if case != "monomial":
+        images = _conjugated(_block_unitary(rng, tgt), images)
+    if case == "off-block":
+        first, second = tgt.cstar_classes[:2]
+        key = sorted(images)[int(rng.integers(len(images)))]
+        images[key][second[-1] - 1, first[0] - 1] += 1e-3
+    env = _edge_rows(images, src, tgt)
+    want = env.copy()
+    dense_reach = dense_envelope_extension(want, src)
+    part, blocks, reach = homs._envelope_extension(
+        env, src, tgt.block_layout().classes)
+    assert (part is None) == (case in ("one-class", "off-block"))
+    assert reach.shape[1] == (1 if part is None else len(tgt.cstar_classes))
+    if case != "blocks":
+        assert env.tobytes() == want.tobytes()
+        return
+    units, ne = src.envelope_units()[0], len(src.edges)
+    assert env[:ne].tobytes() == want[:ne].tobytes()
+    c = homs.PRODUCT_ROUNDING * tgt.n * np.finfo(float).eps
+    for k in range(ne, len(units)):
+        i, j = units[k]
+        gap = np.linalg.norm(env[k] - want[k])
+        assert gap <= c * (np.linalg.norm(dense_reach[i - 1])
+                           * np.linalg.norm(dense_reach[j - 1]))
+
+
+def test_block_path_runs_exactly_on_block_diagonal_edge_rows(monkeypatch):
+    # validate_numeric and the lazy envelope of a map decide alike; one
+    # subnormal between two classes, which a squared norm would lose,
+    # sends both to one block and the dense bits
+    seen = []
+    extension = homs._envelope_extension
+
+    def spy(env, source, classes):
+        out = extension(env, source, classes)
+        seen.append(out[0] is not None)
+        return out
+
+    monkeypatch.setattr(homs, "_envelope_extension", spy)
+    rng = np.random.default_rng(7)
+    phi, images = _multi_block_images(rng)
+    src, tgt = phi.source, phi.target
+    images = _conjugated(_block_unitary(rng, tgt), images)
+    la.validate_numeric(images, src, tgt)
+    la.NumericStarMap(src, tgt, _edge_rows(images, src, tgt)[:len(src.edges)],
+                      1e-9).envelope_image(1, 1)
+    assert seen == [True, True]
+    first, second = tgt.cstar_classes[:2]
+    images[(1, 1)][first[0] - 1, second[0] - 1] = 5e-324
+    env = _edge_rows(images, src, tgt)
+    dense_envelope_extension(env, src)
+    units = sorted(src.envelope_units()[0])
+    for got in (la.validate_numeric(images, src, tgt),
+                la.NumericStarMap(src, tgt, env[:len(src.edges)], 1e-9)):
+        assert ([got.envelope_image(*k).tobytes() for k in units]
+                == [env[src.envelope_units()[1][k]].tobytes() for k in units])
+    assert seen[2:] == [False, False]
+
+
+def test_dense_stacks_above_the_budget_raise_capacity_exceeded(monkeypatch):
+    # T2 into T2 x M2: 3 edge images and 4 envelope units of size 4, so
+    # stacks of 768 and 1024 bytes
+    phi = la.refinement_map(2, 1, 2)
+    images = dict(la.to_numeric(phi).images)
+    lazy = la.to_numeric(phi)
+    monkeypatch.setattr(homs, "DENSE_BUDGET", 1023)
+    la.to_numeric(phi)
+    for build in (lambda: la.validate_numeric(images, phi.source, phi.target),
+                  lambda: lazy.envelope_image(2, 1)):
+        with pytest.raises(CapacityExceeded) as err:
+            build()
+        assert err.value.data == {"rows": 4, "n": 4, "bytes": 1024,
+                                  "budget": 1023}
+    monkeypatch.setattr(homs, "DENSE_BUDGET", 767)
+    with pytest.raises(CapacityExceeded) as err:
+        la.to_numeric(phi)
+    assert err.value.data == {"rows": 3, "n": 4, "bytes": 768, "budget": 767}
+    monkeypatch.setattr(homs, "DENSE_BUDGET", 1024)
+    la.validate_numeric(images, phi.source, phi.target)
+    assert np.array_equal(lazy.envelope_image(2, 1),
+                          images[(1, 2)].conj().T)
 
 
 def _count_sweeps(monkeypatch):

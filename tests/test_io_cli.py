@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import limitalg as la
-from limitalg import conjugacy, detect, io as iolib
+from limitalg import conjugacy, detect, homs, io as iolib
 from limitalg.cli import main, run_command
 from limitalg.dimmod import MonotoneMap
 from limitalg.errors import (DanglingReference, LimitalgError, SchemaError,
@@ -389,6 +389,29 @@ def test_cli_detect(tmp_path):
     code, report = run_command("detect", ["--map", p2, "--against", ap2])
     assert code == 1
     assert report["present"] is False
+
+
+def test_cli_dense_stack_above_the_budget_exits_2(tmp_path, monkeypatch,
+                                                  capsys):
+    # T2 into T2 x M2: detect --against densifies the standard map (3
+    # images of size 4, 768 bytes); a numeric file gets an envelope stack
+    # (4 units, 1024 bytes)
+    phi = la.refinement_map(2, 1, 2)
+    alpha = la.assemble_regular([la.refinement_summand(2, 1, 2, 1)])
+    p = write_json(tmp_path / "m.json", iolib.encode_map(phi))
+    ap = write_json(tmp_path / "a.json", iolib.encode_map(alpha))
+    pn = write_json(tmp_path / "n.json", iolib.encode_map(la.to_numeric(phi)))
+    for budget, argv, rows in (
+            (767, ["detect", "--map", p, "--against", ap], 3),
+            (1023, ["regular-test", "--map", pn], 4)):
+        monkeypatch.setattr(homs, "DENSE_BUDGET", budget)
+        code = main(argv)
+        out = capsys.readouterr()
+        assert (code, out.err) == (2, "")
+        err = json.loads(out.out)["error"]
+        assert err["type"] == "CapacityExceeded"
+        assert err["data"] == {"rows": rows, "n": 4, "bytes": 256 * rows,
+                               "budget": budget}
 
 
 def test_cli_regular_test(tmp_path):
