@@ -103,7 +103,8 @@ def standard_witness(phi1: StandardRegularMap, phi2: StandardRegularMap,
     criterion); otherwise NotInnerEquivalent. When permutation evidence u is
     supplied, its index action is used as the transport and only the
     diagonal phase correction is computed on top of it. Without it, V is
-    checked here (InternalError); exact_intertwine builds it unchecked.
+    checked here (InternalError); restandardization builds it unchecked
+    and checks its own result.
     """
     if phi1.source != phi2.source or phi1.target != phi2.target:
         raise SourceTargetMismatch("witness needs matching source and target")
@@ -158,8 +159,9 @@ def restandardize_triangle(theta: StandardRegularMap,
     phi2 may be a StandardRegularMap (weights allowed) or a NumericStarMap;
     a numeric phi2 is first standardized through the regularity decision.
     Returns (U, phi2_std). When theta and phi1 are strict, so is phi2_std.
-    It checks phi2 after phi1 = theta as given (TriangleNotCommuting), the
-    witness, and Ad(U) phi2 after phi1 = theta (InternalError).
+    It checks phi2 after phi1 = theta as given (TriangleNotCommuting) and
+    Ad(U) phi2 after phi1 = theta (InternalError); the witness is not
+    checked on its own, as that last check certifies (U, phi2_std).
     """
     if phi2.source != phi1.target or phi2.target != theta.target:
         raise SourceTargetMismatch("triangle algebras do not line up")
@@ -184,11 +186,12 @@ def restandardize_triangle(theta: StandardRegularMap,
 
 
 def _restandardize(theta: StandardRegularMap, phi1: StandardRegularMap,
-                   b0: StandardRegularMap, lead: list, checked=True) -> tuple:
+                   b0: StandardRegularMap, lead: list) -> tuple:
     """(U, b) from a standard form b0 = Ad(lead) phi2 whose triangle
-    commutes. The witness is checked only when checked is set; the result
-    always is, as b after phi1 = theta (InternalError)."""
-    v0 = (standard_witness if checked else _witness)(compose(b0, phi1), theta)
+    commutes. The witness is not checked; the result is, as b after
+    phi1 = theta (InternalError), and as b is Ad(U) phi2 by construction,
+    that check certifies (U, b)."""
+    v0 = _witness(compose(b0, phi1), theta)
     b = conjugate_standard(b0, v0)
     factors = [v0] + lead
     if not b.is_strict and theta.is_strict and phi1.is_strict:

@@ -35,13 +35,10 @@ from .errors import (BlockPartial, CapacityExceeded, EdgeIncompatible,
 from .tolerance import (DEFAULT_TOL, DENSE_FLOOR, EXACT_SLACK,
                         PRODUCT_ROUNDING, ROUNDING_MARGIN)
 
-# full multiplicativity sweeps are quadratic in envelope units; validation
-# raises CapacityExceeded in place of a sweep over more pairs than this
-_SWEEP_CAP = 250_000
-
 # bytes of the largest dense (rows, n, n) complex stack of images that
-# to_numeric, validate_numeric or an envelope allocates; a larger one
-# raises CapacityExceeded before any memory is asked for
+# to_numeric, validate_numeric or an envelope allocates, and of the P x P
+# work of spectrum.cylinder_relation; a larger one raises CapacityExceeded
+# before any memory is asked for
 DENSE_BUDGET = 1 << 30
 
 
@@ -674,10 +671,10 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
     tol is finite and nonnegative. Raises the first violated identity with
     its residual. Multiplicativity is ||E_a E_b - [j = k] E_il||_2 <= tol
     for every pair a = e_ij, b = e_kl of the u envelope matrix units; a map
-    the generator check below cannot accept is swept, or CapacityExceeded
-    is raised if u^2 exceeds _SWEEP_CAP. Each residual X is gated on
-    ||X||_2 > tol; as ||X||_2 <= ||X||_F, one of Frobenius norm within tol
-    passes without an SVD, and an error carries the spectral residual.
+    the generator check below cannot accept is swept, at any u. Each
+    residual X is gated on ||X||_2 > tol; as ||X||_2 <= ||X||_F, one of
+    Frobenius norm within tol passes without an SVD, and an error carries
+    the spectral residual.
 
     Generator check. The units come from the class trees: R_x is the tree
     product from the root r of x's class (R_r = P_r, the image of e_rr),
@@ -710,11 +707,14 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
     into M_3 has e_11 v - v = -sqrt(d) e_33), which at rounding level,
     d ~ 1e-16, is above the default tol.
 
-    Sweep. Each check takes the Frobenius norms of all its residuals in
-    one batch, flags those above tol (1 - 1e-9) - delta, and recomputes
-    only the flagged ones with the per-item expression, in the per-item
-    order; so the verdict, the item named and the residual bits are those
-    of a per-item loop. Star and range residuals are formed entry for entry
+    Sweep. Each check takes the Frobenius norms of its residuals in one
+    batch, flags those above tol (1 - 1e-9) - delta, and recomputes only
+    the flagged ones with the per-item expression, in the per-item order;
+    so the verdict, the item named and the residual bits are those of a
+    per-item loop. The star and range checks batch all their residuals;
+    the product sweep batches one left unit at a time, its products with
+    every unit, in sorted order, so a failing map stops at its first
+    failing row. Star and range residuals are formed entry for entry
     as in that loop, so delta = 0. For a product E_a E_b the batch may sum
     in another order, and two such products differ by at most
     delta_ab = 2 c ||E_a||_F ||E_b||_F. The other roundings (subtraction,
@@ -729,8 +729,10 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
     the s - |classes| tree products and the u - |E| derived units of
     _envelope_extension, P w^3 flops each against n^3 for a dense one,
     and the generator check, (|E| + s + s^2) P w^3 flops in all. The
-    sweep, u^2 sum_B m_B^3 flops for classes of sizes m_B, runs as one
-    gemm per class in chunks of bounded size (_CHUNK_BYTES). Otherwise
+    sweep, at most u^2 sum_B m_B^3 flops for classes of sizes m_B, runs
+    one gemm per class and left unit, of its m_B x m_B image by all u
+    images side by side; it holds each class's images once more, u m_B^2
+    entries, and one row of products, u m_B^2 at a time. Otherwise
     all of them multiply one block of all n indices. The images are copied
     once into the leading rows of the envelope stack, u n^2 complex
     entries (CapacityExceeded above DENSE_BUDGET bytes, before it is
@@ -797,12 +799,6 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
         stack, source, target.block_layout().classes)
     stack.setflags(write=False)
     if not _generator_bound(source, blocks, reach, target.n) <= cut:
-        if len(units) ** 2 > _SWEEP_CAP:
-            raise CapacityExceeded(
-                f"the multiplicativity sweep over {len(units)} envelope "
-                f"units needs {len(units) ** 2} pairs, above the cap of "
-                f"{_SWEEP_CAP}", units=len(units), pairs=len(units) ** 2,
-                cap=_SWEEP_CAP)
         _sweep_products(source, stack, [np.arange(target.n)]
                         if part is None else list(part.parts), tol)
 
@@ -811,8 +807,8 @@ def validate_numeric(images: Mapping, source: DigraphAlgebra,
     return out
 
 
-# bytes of one chunk of batched products; with its temporaries the sweep's
-# working set stays near 1 MiB
+# bytes of one chunk of the generator check's batched products; with its
+# temporaries the working set stays near 1 MiB
 _CHUNK_BYTES = 1 << 19
 
 
@@ -880,70 +876,48 @@ def _sweep_products(source: DigraphAlgebra, stack: np.ndarray, blocks: list,
     stack is the envelope of source, in the order of its envelope_units();
     blocks are the target index arrays whose diagonal blocks carry every
     product. Pairs are taken in row-major order over the sorted units, as
-    itertools.product(sorted(units), repeat=2); validate_numeric documents
-    the batched flag test and its margin.
+    itertools.product(sorted(units), repeat=2), one left unit at a time:
+    its products with every unit, one gemm per block, are flagged and the
+    flagged ones recomputed in order, so a failing map stops at its first
+    failing row. validate_numeric documents the flag test and its margin.
     """
     units, at = source.envelope_units()
     srt = sorted(units)
     us = np.array(srt)
     # stack row of each sorted unit
     li = at[us[:, 0], us[:, 1]]
-    # rows (p, q, e): srt[p] = e_ij, srt[q] = e_jl, e = stack row of e_il
-    p, q = np.nonzero(us[:, 1, None] == us[:, 0])
-    trip = np.stack([p, q, at[us[p, 0], us[q, 1]]], axis=1)
     u = len(srt)
-    sq = np.zeros((u, u))
+    # the right units e_jl of a left unit e_ij are srt[lo[j]:lo[j + 1]]
+    lo = np.searchsorted(us[:, 0], np.arange(source.n + 2))
+    # each nonzero block's images side by side, m x u m, in sorted order
+    sides = []
     for idx in blocks:
-        sb = stack[:, idx[:, None], idx]
-        if not sb.any():
-            continue
-        m = len(idx)
-        lhs = sb[li].reshape(-1, m)
-        rhs = sb[li].transpose(1, 0, 2).reshape(m, -1)
-        cb = max(1, min(u, _CHUNK_BYTES // (16 * m * m)))
-        ca = max(1, _CHUNK_BYTES // (16 * m * m * cb))
-        # trip rows grouped by chunk, in their order within each chunk
-        nb = -(-u // cb)
-        chunk = trip[:, 0] // ca * nb + trip[:, 1] // cb
-        order = np.argsort(chunk, kind="stable")
-        bounds = np.searchsorted(chunk[order], np.arange(-(-u // ca) * nb + 1))
-        grouped = trip[order]
-        for a0 in range(0, u, ca):
-            a1 = min(a0 + ca, u)
-            for b0 in range(0, u, cb):
-                b1 = min(b0 + cb, u)
-                c = a0 // ca * nb + b0 // cb
-                t = grouped[bounds[c]:bounds[c + 1]]
-                sq[a0:a1, b0:b1] += _chunk_residuals(
-                    lhs[a0 * m:a1 * m], rhs[:, b0 * m:b1 * m],
-                    t - (a0, b0, 0), sb)
+        side = stack[li[:, None, None], idx[:, None], idx].transpose(1, 0, 2)
+        if side.any():
+            sides.append((idx, side.reshape(len(idx), -1)))
     eps = np.finfo(float).eps
     norms = np.sqrt(_frob2(stack))[li]
-    cut = tol * ROUNDING_MARGIN - (2 * PRODUCT_ROUNDING * stack.shape[1]
-                                   * eps * np.outer(norms, norms))
-    for p, q in _flagged(sq, cut):
-        (i, j), (k, l) = srt[p], srt[q]
-        prod = stack[li[p]] @ stack[li[q]]
-        # units never leave a class, so j == k puts e_il in the envelope
-        expected = stack[at[i, l]] if j == k else 0.0
-        res = _residual_over(prod - expected, tol)
-        if res is not None:
-            raise NotMultiplicative((i, j), (k, l), res)
-
-
-def _chunk_residuals(lhs: np.ndarray, rhs: np.ndarray, trip: np.ndarray,
-                     sb: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norms of E_a E_b - expected over one chunk.
-
-    lhs stacks the left units' rows, rhs the right units' columns (m each);
-    trip rows (p, q, e) subtract sb[e] from the product of chunk pair (p, q).
-    """
-    m = rhs.shape[0]
-    ca, cb = len(lhs) // m, rhs.shape[1] // m
-    prod = lhs @ rhs
-    prod.reshape(ca, m, cb, m)[trip[:, 0], :, trip[:, 1], :] -= sb[trip[:, 2]]
-    v = prod.view(float).reshape(ca, m, cb, 2 * m)
-    return np.einsum("aibj,aibj->ab", v, v)
+    c = 2 * PRODUCT_ROUNDING * stack.shape[1] * eps
+    for p, (i, j) in enumerate(srt):
+        right = slice(lo[j], lo[j + 1])
+        expected = at[i, us[right, 1]]
+        sq = np.zeros(u)
+        for idx, side in sides:
+            m = len(idx)
+            prod = (side[:, p * m:(p + 1) * m] @ side).reshape(m, u, m)
+            prod[:, right] -= stack[expected[:, None, None], idx[:, None],
+                                    idx].transpose(1, 0, 2)
+            v = prod.view(float)
+            sq += np.einsum("aqb,aqb->q", v, v)
+        for (q,) in _flagged(sq, tol * ROUNDING_MARGIN
+                             - c * (norms[p] * norms)):
+            k, l = srt[q]
+            prod = stack[li[p]] @ stack[li[q]]
+            # units never leave a class, so j == k puts e_il in the envelope
+            res = _residual_over(prod - (stack[at[i, l]] if j == k else 0.0),
+                                 tol)
+            if res is not None:
+                raise NotMultiplicative((i, j), (k, l), res)
 
 
 def to_numeric(phi) -> NumericStarMap:

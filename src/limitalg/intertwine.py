@@ -221,8 +221,9 @@ def exact_intertwine(d: CrossoverDiagram) -> CorrectedDiagram:
     alphas_hat[k] = Ad(v[k]) alphas[k] and betas_hat[k] = Ad(u[k]) betas[k].
     Each triangle is checked twice, as given (TriangleNotCommuting) and
     once corrected (InternalError), so the report has residual 0.0 on every
-    triangle; the checks restandardize_triangle adds in between (the moved
-    triangle and the witness) follow from these and are skipped.
+    triangle; the input check restandardize_triangle adds in between (the
+    moved triangle) follows from these and is skipped, and the witness is
+    certified by the corrected triangle's check alone.
     """
     if d.mode != "exact":
         raise UsageError("diagram is not in exact mode")
@@ -243,7 +244,7 @@ def exact_intertwine(d: CrossoverDiagram) -> CorrectedDiagram:
         mono = wits[-1].as_monomial(outer.source)
         t = apply_to_unitary(outer, mono.adjoint())
         b0, strip = strictify(conjugate_standard(outer, t))
-        corr, std = _restandardize(conn, hats[-1], b0, [strip], checked=False)
+        corr, std = _restandardize(conn, hats[-1], b0, [strip])
         hats.append(std)
         wits.append(Unitary(outer.target.n, list(corr.factors) + [t]))
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthUnavailable
+from . import homs
+from .errors import CapacityExceeded, DepthUnavailable
 from .intertwine import DirectSystem
 
 
@@ -190,21 +191,33 @@ def cylinder_relation(sys: DirectSystem, depth: int) -> CylinderRelation:
     of connector l carries x_l to x_{l+1} and y_l to y_{l+1}; the level is
     the least such k. The witness-level matrix is filled from the top level
     down while a P x P suffix mask keeps the AND of the joint-step tests
-    above: the joint step at level l is S_l S_l^T > 0 for the P x #summands
-    membership table S_l[x, s] = (iota_s(x_l) = x_{l+1}), and the edge test
+    above. Summand images are disjoint (ImageOverlap), so x_{l+1} names the
+    one summand that carries x_l to it, its owner; the joint step at level
+    l is equality of the owners of x_{l+1} and y_{l+1}. The edge test
     fancy-indexes stage k's support mask at (x_k, y_k). The cost is d array
-    passes over P x P plus one P x #summands table per connector level.
+    passes over P x P. At most the int64 level matrix and three boolean
+    masks are held at once, 11 P^2 bytes; above homs.DENSE_BUDGET,
+    CapacityExceeded is raised before any of them is allocated.
     """
     _check_depth(sys, depth)
     images = _summand_images(sys, depth)
     paths = _path_array(sys.stage_algebra(0).n, images)
     count = len(paths)
+    size = 11 * count * count
+    if size > homs.DENSE_BUDGET:
+        raise CapacityExceeded(
+            f"a relation on {count} paths needs {size} bytes, above the "
+            f"budget of {homs.DENSE_BUDGET}", paths=count, bytes=size,
+            budget=homs.DENSE_BUDGET)
     levels = np.zeros((count, count), dtype=int)
     suffix = np.ones((count, count), dtype=bool)
     for k in range(depth - 1, -1, -1):
         if k < depth - 1:
-            member = (images[k][:, paths[:, k]] == paths[:, k + 1]).T
-            suffix &= member @ member.T
+            conn = sys.connector(k)
+            owner = np.zeros(conn.target.n + 1, dtype=int)
+            owner[list(conn.tgt)] = conn.piece
+            key = owner[paths[:, k + 1]]
+            suffix &= key[:, None] == key[None, :]
         at = paths[:, k] - 1
         edge = sys.stage_algebra(k).support_mask()[np.ix_(at, at)]
         levels[edge & suffix] = k + 1

@@ -120,6 +120,15 @@ def uhf_system(base, levels):
     return la.DirectSystem(tuple(stages), tuple(conns))
 
 
+def fan_out_system(p):
+    """D_1 -> D_p, the one index fanned out by p one-index summands: p
+    paths of depth 2."""
+    d1, dp = la.diagonal_algebra(1), la.diagonal_algebra(p)
+    conn = la.assemble_regular([la.validate_multiplicity_one({1: s}, d1, dp)
+                                for s in range(1, p + 1)])
+    return la.DirectSystem((d1, dp), (conn,))
+
+
 def assemble_band_map(src, tgt, placements):
     """Standard map between T_r-shaped algebras from (class, class, theta)
     placement triples, one per multiplicity-one copy.

@@ -1104,40 +1104,66 @@ def test_generator_check_accepts_valid_maps_and_sends_the_rest_on(
         assert want[0] is NotMultiplicative and calls == [1]
 
 
-def test_sweep_above_the_cap_raises_capacity_exceeded(monkeypatch):
+def test_swept_map_after_star_and_range_names_the_reference_pair():
     # the V algebra (1 -> 3 <- 2) has 9 envelope units, so 81 pairs; a
     # doubled e_13 is not multiplicative, so the generator check sends the
-    # map to the sweep, which the cap stops
+    # map to the sweep, which names the pair a per-pair loop names
     v = la.build_digraph_algebra(3, [(1, 1), (2, 2), (3, 3), (1, 3), (2, 3)])
     phi = la.direct_sum(la.identity_map(v), la.identity_map(v))
     images = dict(la.to_numeric(phi).images)
     doubled = {**images, (1, 3): 2 * images[(1, 3)]}
-    monkeypatch.setattr(homs, "_SWEEP_CAP", 80)
-    with pytest.raises(CapacityExceeded) as err:
-        la.validate_numeric(doubled, phi.source, phi.target)
-    assert err.value.data == {"units": 9, "pairs": 81, "cap": 80}
-    assert "9 envelope units" in str(err.value)
+    got = _outcome(la.validate_numeric, doubled, phi.source, phi.target, 1e-9)
+    assert got == _outcome(reference_validate, doubled, phi.source,
+                           phi.target, 1e-9)
+    assert got[0] is NotMultiplicative
     # the star and range checks still run first
     bad = {**doubled, (3, 3): images[(3, 3)] + 1j * images[(1, 3)]}
     with pytest.raises(NotStarConsistent):
         la.validate_numeric(bad, phi.source, phi.target)
-    monkeypatch.setattr(homs, "_SWEEP_CAP", 81)
-    with pytest.raises(NotMultiplicative):
-        la.validate_numeric(doubled, phi.source, phi.target)
 
 
-def test_valid_map_above_the_cap_is_accepted_without_the_sweep(monkeypatch):
+def test_valid_map_of_900_units_is_accepted_without_the_sweep(monkeypatch):
     # the identity of T30 conjugated by diagonal phases: 900 envelope units,
-    # 810000 pairs, above the cap, accepted by the generator check alone
+    # 810000 pairs, accepted by the generator check alone
     a = la.tr_algebra(30)
     d = np.diag(np.exp(2j * np.pi * np.random.default_rng(3).random(a.n)))
     images = _conjugated(d, la.to_numeric(la.identity_map(a)).images)
-    assert len(a.envelope_units()[0]) ** 2 > homs._SWEEP_CAP
+    assert len(a.envelope_units()[0]) == 900
     calls = _count_sweeps(monkeypatch)
     got = la.validate_numeric(images, a, a)
     assert calls == []
     assert np.array_equal(got.stack, np.stack([images[e]
                                                for e in sorted(a.edges)]))
+
+
+@pytest.mark.parametrize("key, left, right, residual", [
+    ((1, 1), [1, 1], [1, 1], 2.0), ((23, 23), [1, 23], [23, 23], 1.0)])
+def test_sweep_of_529_units_stops_at_the_first_failing_pair(
+        monkeypatch, key, left, right, residual):
+    # the identity of T23 with one diagonal unit doubled goes to the sweep
+    # at 529 envelope units, 279841 pairs; the first failing pair in
+    # row-major order over the sorted units is the first that meets the
+    # doubled unit: 2e_11 2e_11 - 2e_11, or e_1,23 2e_23,23 - e_1,23
+    a = la.tr_algebra(23)
+    images = dict(la.to_numeric(la.identity_map(a)).images)
+    images[key] = 2 * images[key]
+    calls = _count_sweeps(monkeypatch)
+    with pytest.raises(NotMultiplicative) as err:
+        la.validate_numeric(images, a, a)
+    assert calls == [1] and len(a.envelope_units()[0]) == 529
+    assert err.value.data == {"left": left, "right": right,
+                              "residual": residual}
+    # and a per-pair loop over the lazy envelope fails there first
+    lazy = la.NumericStarMap(a, a, np.stack([images[e]
+                                             for e in sorted(a.edges)]), 1e-9)
+    env = {e: lazy.envelope_image(*e) for e in a.envelope_units()[0]}
+    first = next(
+        ([i, j], [k, l], res)
+        for (i, j), (k, l) in itertools.product(sorted(env), repeat=2)
+        if (res := homs._residual_over(
+            env[(i, j)] @ env[(k, l)] - (env[(i, l)] if j == k else 0.0),
+            1e-9)) is not None)
+    assert first == (left, right, residual)
 
 
 # per-edge loops of the dict-based numeric layer, kept as oracles for the

@@ -18,7 +18,7 @@ from limitalg.dimmod import MonotoneMap
 from limitalg.errors import (DanglingReference, LimitalgError, SchemaError,
                              UsageError)
 
-from conftest import assemble_band_map, uhf_system
+from conftest import assemble_band_map, fan_out_system, uhf_system
 
 
 # document builders
@@ -460,6 +460,16 @@ def test_cli_spectrum(tmp_path):
     assert code == 2
 
 
+def test_cli_spectrum_above_the_dense_budget_exits_2(tmp_path, capsys,
+                                                     monkeypatch):
+    p = write_json(tmp_path / "fan.json",
+                   iolib.encode_system(fan_out_system(3)))
+    monkeypatch.setattr(homs, "DENSE_BUDGET", 98)
+    err = _typed_failure(["spectrum", "--system", p, "--depth", "2"], capsys,
+                         "CapacityExceeded")
+    assert err["data"] == {"paths": 3, "bytes": 99, "budget": 98}
+
+
 def test_cli_spectrum_compare_loads_one_file_once(tmp_path, capsys,
                                                   monkeypatch):
     s2 = write_json(tmp_path / "s2.json", iolib.encode_system(uhf_system(2, 3)))
@@ -679,18 +689,18 @@ def test_cli_rejects_non_edge_images_and_non_finite_numbers(
         _typed_failure(argv, capsys, "UsageError")
 
 
-def test_cli_sweep_above_the_cap_exits_2(tmp_path, capsys, monkeypatch):
-    from limitalg import homs
+def test_cli_swept_map_exits_2_with_the_failing_pair(tmp_path, capsys):
     doc = iolib.encode_map(la.to_numeric(la.refinement_map(2, 1, 2)))
-    # a doubled image of e_12 is not multiplicative, so only the sweep,
-    # which the cap stops, could decide it
+    # a doubled image of e_12 is not multiplicative, so the sweep decides
+    # it and names the first failing pair: the derived unit is the tree
+    # value 2 e_21, so e_12 e_21 - e_11 = 3 e_11
     e12 = next(r for r in doc["images"] if (r["i"], r["j"]) == (1, 2))
     e12["matrix"] = (2 * np.array(e12["matrix"])).tolist()
     p = write_json(tmp_path / "num.json", doc)
-    monkeypatch.setattr(homs, "_SWEEP_CAP", 1)
     for verb in ("regular-test", "standardize", "detect"):
-        err = _typed_failure([verb, "--map", p], capsys, "CapacityExceeded")
-        assert err["data"] == {"units": 4, "pairs": 16, "cap": 1}
+        err = _typed_failure([verb, "--map", p], capsys, "NotMultiplicative")
+        assert err["data"] == {"left": [1, 2], "right": [2, 1],
+                               "residual": 3.0}
 
 
 def test_cli_rejects_entries_listed_twice(tmp_path, capsys):

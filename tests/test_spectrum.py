@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import limitalg as la
-from limitalg.errors import DepthUnavailable
+from limitalg import homs
+from limitalg.errors import CapacityExceeded, DepthUnavailable
 
-from conftest import random_monomial_unitary, random_standard_map, uhf_system
+from conftest import (fan_out_system, random_monomial_unitary,
+                      random_standard_map, uhf_system)
 
 
 def identity_endo(a):
@@ -141,6 +143,20 @@ def test_depth_checks():
         la.path_space(sys, 3)
     with pytest.raises(DepthUnavailable):
         la.cylinder_relation(sys, 5)
+
+
+def test_relation_above_the_dense_budget_raises_capacity_exceeded(
+        monkeypatch):
+    # 3 paths of depth 2: a 3 x 3 int64 level matrix and three boolean
+    # masks, 99 bytes
+    sys = fan_out_system(3)
+    monkeypatch.setattr(homs, "DENSE_BUDGET", 98)
+    with pytest.raises(CapacityExceeded) as err:
+        la.cylinder_relation(sys, 2)
+    assert err.value.data == {"paths": 3, "bytes": 99, "budget": 98}
+    la.cylinder_relation(sys, 1)
+    monkeypatch.setattr(homs, "DENSE_BUDGET", 99)
+    assert la.cylinder_relation(sys, 2).statistics().pair_count == 3
 
 
 def test_periodic_system_unbounded_depth():
