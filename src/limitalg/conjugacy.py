@@ -18,9 +18,9 @@ from .errors import (InternalError, NotInnerEquivalent, NotRegular,
                      ProfileMismatch, SourceTargetMismatch,
                      TriangleNotCommuting)
 from .homs import (NumericStarMap, StandardRegularMap, Unitary,
-                   canonical_pairing, compose, conjugate_standard,
-                   map_distance, monomial, numeric_compose, same_action,
-                   strictify, to_numeric)
+                   _compose_columns, _conjugate_columns, canonical_pairing,
+                   compose, conjugate_standard, map_distance, monomial,
+                   numeric_compose, same_action, strictify, to_numeric)
 from .tolerance import map_tolerance
 
 
@@ -103,13 +103,13 @@ def standard_witness(phi1: StandardRegularMap, phi2: StandardRegularMap,
     criterion); otherwise NotInnerEquivalent. When permutation evidence u is
     supplied, its index action is used as the transport and only the
     diagonal phase correction is computed on top of it. Without it, V is
-    checked here (InternalError); restandardization builds it unchecked
-    and checks its own result.
+    checked here (InternalError), as columns (same_action);
+    restandardization builds it unchecked and checks its own result.
     """
     if phi1.source != phi2.source or phi1.target != phi2.target:
         raise SourceTargetMismatch("witness needs matching source and target")
     v = _witness(phi1, phi2, u)
-    if u is None and not same_action(conjugate_standard(phi1, v), phi2):
+    if u is None and not same_action(_conjugate_columns(phi1, v), phi2):
         raise InternalError("witness construction failed to verify")
     return v
 
@@ -145,7 +145,7 @@ def _diagonal_correction(moved: StandardRegularMap, target_map: StandardRegularM
     if pairing is None or pairing[0] != pairing[1]:
         raise NotInnerEquivalent(reason="evidence does not align the summands")
     d = monomial(a2, pairing[0], pairing[0], pairing[2])
-    if not same_action(conjugate_standard(moved, d), target_map):
+    if not same_action(_conjugate_columns(moved, d), target_map):
         raise NotInnerEquivalent(reason="evidence admits no phase correction")
     return d
 
@@ -161,7 +161,8 @@ def restandardize_triangle(theta: StandardRegularMap,
     Returns (U, phi2_std). When theta and phi1 are strict, so is phi2_std.
     It checks phi2 after phi1 = theta as given (TriangleNotCommuting) and
     Ad(U) phi2 after phi1 = theta (InternalError); the witness is not
-    checked on its own, as that last check certifies (U, phi2_std).
+    checked on its own, as that last check certifies (U, phi2_std). Both
+    checks pass the composition to same_action as columns.
     """
     if phi2.source != phi1.target or phi2.target != theta.target:
         raise SourceTargetMismatch("triangle algebras do not line up")
@@ -177,11 +178,10 @@ def restandardize_triangle(theta: StandardRegularMap,
                              residual_rank=cert.residual_rank)
         b0, lead = cert.standard_form, list(cert.unitary.factors)
     else:
-        if not same_action(compose(phi2, phi1), theta):
+        if not same_action(_compose_columns(phi2, phi1), theta):
             raise TriangleNotCommuting(
                 map_distance(compose(phi2, phi1), theta))
-        b0, d = strictify(phi2)
-        lead = [d]
+        b0, *lead = strictify(phi2)
     return _restandardize(theta, phi1, b0, lead)
 
 
@@ -190,13 +190,13 @@ def _restandardize(theta: StandardRegularMap, phi1: StandardRegularMap,
     """(U, b) from a standard form b0 = Ad(lead) phi2 whose triangle
     commutes. The witness is not checked; the result is, as b after
     phi1 = theta (InternalError), and as b is Ad(U) phi2 by construction,
-    that check certifies (U, b)."""
+    that check certifies (U, b); it compares columns (same_action)."""
     v0 = _witness(compose(b0, phi1), theta)
     b = conjugate_standard(b0, v0)
     factors = [v0] + lead
     if not b.is_strict and theta.is_strict and phi1.is_strict:
         b, strip = strictify(b)
         factors.insert(0, strip)
-    if not same_action(compose(b, phi1), theta):
+    if not same_action(_compose_columns(b, phi1), theta):
         raise InternalError("restandardization failed to verify")
     return Unitary(theta.target.n, factors), b

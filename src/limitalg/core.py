@@ -439,9 +439,9 @@ class StandardPartialIsometry:
         return v
 
     def _pass(self, algebra: DigraphAlgebra, to, ph) -> None:
-        seen = [0] * len(to)
+        seen, n = [0] * len(to), algebra.n
         for i, j in enumerate(to):
-            if j and not 1 <= j <= algebra.n:
+            if j and not 1 <= j <= n:
                 raise ValueError(f"pair {i}->{j} out of range")
             if j and seen[j]:
                 raise NotInjective(seen[j], i, j)

@@ -169,17 +169,17 @@ class StandardRegularMap:
     summands, empty ones included; by default it is one more than the
     largest piece.
 
-    One row pass checks every map, given or derived. The constructor
-    converts the columns from any int (and complex) sequences; _derived
-    takes the tuples that library functions built as they are. The columns
-    must have one length and each piece lie in 0..pieces-1. Then the pass
-    raises the first broken invariant, summand by summand in order, each
-    at its first witness: range, injectivity and one row per source index,
-    row by row as given; edges; the least class met and not covered; the
-    first weight that is not unimodular, NaN included. Last it names the
-    first summand whose image meets an earlier one, at the least such
-    index. Edges are decided on blocks, as the edge set is the blow-up of
-    the reduced one:
+    One row pass checks every map, given or derived, once (strictify's
+    table keeps its input's checked columns). The constructor converts the
+    columns from any int (and complex) sequences; _derived takes the tuples
+    that library functions built as they are. The columns must have one
+    length and each piece lie in 0..pieces-1. Then the pass raises the
+    first broken invariant, summand by summand in order, each at its first
+    witness: range, injectivity and one row per source index, row by row as
+    given; edges; the least class met and not covered; the first weight
+    that is not unimodular, NaN included. Last it names the first summand
+    whose image meets an earlier one, at the least such index. Edges are
+    decided on blocks, as the edge set is the blow-up of the reduced one:
     a summand preserves edges exactly when it sends each source block r
     into one target block tau(r), and each reduced edge (r, q) it meets to
     a reduced edge (tau(r), tau(q)). Only on failure are the sorted source
@@ -258,10 +258,14 @@ class StandardRegularMap:
             o = sorted(range(len(key)), key=key.__getitem__)
             s, t, pc = (tuple(c[k] for k in o) for c in (s, t, pc))
             w = None if w is None else tuple(w[k] for k in o)
+        self._fill(source, target, s, t, pc, w, pieces)
+
+    def _fill(self, source, target, s, t, pc, w, pieces):
         self.source, self.target = source, target
         self.src, self.tgt, self.piece, self.weight = s, t, pc, w
         self.pieces = pieces
         self._summands = self._canonical = self._keys = None
+        return self
 
     @property
     def is_strict(self) -> bool:
@@ -394,8 +398,13 @@ def _rows_by_src(phi: StandardRegularMap) -> dict:
 
 def compose(phi: StandardRegularMap, psi: StandardRegularMap
             ) -> StandardRegularMap:
-    """phi after psi: each row i -> x of psi meets the rows x -> y of phi;
-    the summands are the (phi, psi) summand pairs that meet."""
+    """phi after psi, a checked table: each row i -> x of psi meets the
+    rows x -> y of phi; the summands are the summand pairs that meet."""
+    return StandardRegularMap._derived(*_compose_columns(phi, psi))
+
+
+def _compose_columns(phi, psi) -> tuple:
+    """compose's columns in row order, for _derived or same_action."""
     if phi.source != psi.target:
         raise SourceTargetMismatch(
             "compose needs target(psi) equal to source(phi)")
@@ -409,10 +418,9 @@ def compose(phi: StandardRegularMap, psi: StandardRegularMap
         w = tuple(wl[l] * wr[r] for _, l, r in rows)
     # the pairs met, numbered in order, are the summands
     ids = {}
-    return StandardRegularMap._derived(
-        psi.source, phi.target, tuple(psi.src[l] for _, l, _ in rows),
-        tuple(phi.tgt[r] for _, _, r in rows),
-        tuple(ids.setdefault(p, len(ids)) for p, _, _ in rows), w)
+    return (psi.source, phi.target, tuple(psi.src[l] for _, l, _ in rows),
+            tuple(phi.tgt[r] for _, _, r in rows),
+            tuple(ids.setdefault(p, len(ids)) for p, _, _ in rows), w, None)
 
 
 def direct_sum(phi: StandardRegularMap, psi: StandardRegularMap
@@ -432,16 +440,20 @@ def direct_sum(phi: StandardRegularMap, psi: StandardRegularMap
         phi.pieces + psi.pieces)
 
 
-def same_action(phi: StandardRegularMap, psi: StandardRegularMap) -> bool:
+def same_action(phi, psi: StandardRegularMap) -> bool:
     """Exact equality as maps: equal canonical rows (the source column
-    fixes where pieces end), weights within EXACT_SLACK. Equal tables
-    act equally, and need no canonical form: the exact intertwiner checks
-    its triangles against tables built the same way."""
+    fixes where pieces end), weights within EXACT_SLACK; equal tables need
+    no canonical form. phi may be the columns _derived takes: equal to
+    psi's, they are a checked table's, else they are built into one."""
+    cols = phi if isinstance(phi, tuple) else (
+        phi.source, phi.target, phi.src, phi.tgt, phi.piece, phi.weight)
+    if (cols[:5] == (psi.source, psi.target, psi.src, psi.tgt, psi.piece)
+            and (cols[5] or (1.0 + 0.0j,) * len(cols[2])) == _weights(psi)):
+        return True
+    if isinstance(phi, tuple):
+        phi = StandardRegularMap._derived(*phi)
     if phi.source != psi.source or phi.target != psi.target:
         return False
-    if (phi.src == psi.src and phi.tgt == psi.tgt and phi.piece == psi.piece
-            and _weights(phi) == _weights(psi)):
-        return True
     a, b = phi.canonical(), psi.canonical()
     return (a.src == b.src and a.tgt == b.tgt and not any(
         abs(x - y) > EXACT_SLACK for x, y in zip(_weights(a), _weights(b))))
@@ -471,15 +483,19 @@ def monomial(a: DigraphAlgebra, at: Sequence, to: Sequence,
 def conjugate_standard(phi: StandardRegularMap,
                        v: StandardPartialIsometry) -> StandardRegularMap:
     """Ad(v) after phi for a total monomial v over the target algebra."""
+    return StandardRegularMap._derived(*_conjugate_columns(phi, v))
+
+
+def _conjugate_columns(phi, v) -> tuple:
+    """conjugate_standard's columns, for _derived or same_action."""
     if not v.is_unitary:
         raise ValueError("conjugation needs a total monomial")
     if v.algebra.n != phi.target.n:
         raise ValueError("unitary is over the wrong algebra")
-    return StandardRegularMap._derived(
-        phi.source, phi.target, phi.src, tuple(v._to[j] for j in phi.tgt),
-        phi.piece,
-        tuple(x * v._ph[j] for x, j in zip(_weights(phi), phi.tgt)),
-        phi.pieces)
+    return (phi.source, phi.target, phi.src,
+            tuple(v._to[j] for j in phi.tgt), phi.piece,
+            tuple(x * v._ph[j] for x, j in zip(_weights(phi), phi.tgt)),
+            phi.pieces)
 
 
 def apply_to_unitary(phi: StandardRegularMap,
@@ -511,10 +527,11 @@ def strictify(phi: StandardRegularMap) -> tuple:
     """Strip weights: returns (strict map, diagonal witness d).
 
     d is a diagonal monomial over the target with Ad(d) phi = strict map,
-    exactly. Identity off the image.
+    exactly. Identity off the image. The strict map keeps phi's checked
+    columns.
     """
-    strict = StandardRegularMap._derived(phi.source, phi.target, phi.src,
-                                         phi.tgt, phi.piece, None, phi.pieces)
+    strict = StandardRegularMap.__new__(StandardRegularMap)._fill(
+        phi.source, phi.target, phi.src, phi.tgt, phi.piece, None, phi.pieces)
     return strict, monomial(phi.target, phi.tgt, phi.tgt,
                             [x.conjugate() for x in _weights(phi)])
 

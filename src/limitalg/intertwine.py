@@ -20,9 +20,10 @@ from .core import DigraphAlgebra
 from .detect import is_regular, threshold_constant
 from .errors import (CensusMismatch, NotRegular, ResidualTooLarge,
                      SourceTargetMismatch, TriangleNotCommuting, UsageError)
-from .homs import (StandardRegularMap, Unitary, apply_to_unitary, compose,
-                   conjugate_standard, map_distance, numeric_compose,
-                   operator_norm, same_action, strictify, to_numeric)
+from .homs import (StandardRegularMap, Unitary, _compose_columns,
+                   apply_to_unitary, compose, conjugate_standard, map_distance,
+                   numeric_compose, operator_norm, same_action, strictify,
+                   to_numeric)
 from .conjugacy import _restandardize, standard_witness
 from .tolerance import DENSE_FLOOR, map_tolerance
 
@@ -223,7 +224,9 @@ def exact_intertwine(d: CrossoverDiagram) -> CorrectedDiagram:
     once corrected (InternalError), so the report has residual 0.0 on every
     triangle; the input check restandardize_triangle adds in between (the
     moved triangle) follows from these and is skipped, and the witness is
-    certified by the corrected triangle's check alone.
+    certified by the corrected triangle's check alone. Both compare columns
+    (same_action), so a triangle builds three tables: the outer map
+    conjugated, its standard form, and that form after the last hat.
     """
     if d.mode != "exact":
         raise UsageError("diagram is not in exact mode")
@@ -233,7 +236,7 @@ def exact_intertwine(d: CrossoverDiagram) -> CorrectedDiagram:
                 "exact mode needs combinatorial crossovers; "
                 "use approximate mode for numeric maps")
     for _, k, inner, outer, conn in d.triangles():
-        if not same_action(compose(outer, inner), conn):
+        if not same_action(_compose_columns(outer, inner), conn):
             raise TriangleNotCommuting(
                 map_distance(compose(outer, inner), conn), stage=k)
 

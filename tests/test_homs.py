@@ -404,8 +404,8 @@ def _table_outcome(build):
        st.sampled_from(["valid", "edge", "partial", "injective", "range"]),
        st.booleans())
 def test_derived_entry_checks_like_the_constructor(seed, kind, twice):
-    # the entry of compose, conjugate_standard, canonical, strictify and
-    # direct_sum runs the same row pass on its tuples: the same table, or
+    # the entry of compose, conjugate_standard, canonical and direct_sum
+    # runs the same row pass on its tuples: the same table, or
     # the same error at the same witness; a summand listed twice overlaps
     rng = np.random.default_rng(seed)
     iota, source, target, phases = _random_index_map(rng, kind)
@@ -597,6 +597,57 @@ def test_strictify_produces_trivial_weights():
     # Ad(d) strict == phi
     back = la.conjugate_standard(strict, d.adjoint())
     assert la.same_action(back, phi)
+
+
+def test_strictify_keeps_its_input_columns():
+    # the columns passed the row pass when phi was built; dropping the
+    # weights keeps them valid, so the strict table shares them
+    rng = np.random.default_rng(7)
+    phi = random_standard_map(rng, n_max=4, exact=False)
+    strict, _ = la.strictify(phi)
+    assert (strict.src is phi.src and strict.tgt is phi.tgt
+            and strict.piece is phi.piece)
+    assert strict.weight is None and strict.pieces == phi.pieces
+    assert strict.source is phi.source and strict.target is phi.target
+    built = la.StandardRegularMap(phi.source, phi.target, phi.src, phi.tgt,
+                                  phi.piece, None, phi.pieces)
+    assert _table_outcome(lambda: strict) == _table_outcome(lambda: built)
+
+
+def _verdict(run):
+    try:
+        return "ok", run()
+    except (ValueError, LimitalgError) as e:
+        return type(e).__name__, getattr(e, "data", str(e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_same_action_on_columns_matches_the_built_table(seed, mixing):
+    # columns go to same_action as compose and conjugate_standard would
+    # build them: the same verdict, or the same error at the same witness,
+    # whether or not they are the other map's columns
+    rng = np.random.default_rng(seed)
+    phi = random_standard_map(rng, n_max=4)
+    a = phi.target
+    perm = (tuple(int(x) for x in rng.permutation(a.n) + 1) if mixing
+            else random_block_permutation(rng, a))
+    v = la.StandardPartialIsometry(
+        a, dict(zip(range(1, a.n + 1), perm)),
+        {i: EXACT_PHASES[rng.integers(0, 4)] for i in range(1, a.n + 1)})
+    ident = la.identity_map(phi.source)
+    others = [phi, la.compose(phi, ident), la.strictify(phi)[0],
+              random_standard_map(rng, source=phi.source)]
+    if not mixing:
+        others.append(la.conjugate_standard(phi, v))
+    for psi in others:
+        for cols, build in (
+                (lambda: homs._compose_columns(phi, ident),
+                 lambda: la.compose(phi, ident)),
+                (lambda: homs._conjugate_columns(phi, v),
+                 lambda: la.conjugate_standard(phi, v))):
+            assert (_verdict(lambda: la.same_action(cols(), psi))
+                    == _verdict(lambda: la.same_action(build(), psi)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -907,7 +958,7 @@ def test_generator_bound_covers_every_pair_residual(seed, size, off_block):
 
 
 def test_sweep_splits_exactly_block_diagonal_targets_only(monkeypatch):
-    # the generator check runs on every map below the cap and takes the
+    # the generator check runs on every map it is given and takes the
     # block split the sweep takes
     seen = []
     bound = homs._generator_bound

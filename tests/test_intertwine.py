@@ -9,10 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import limitalg as la
-from limitalg.errors import (ResidualTooLarge, SourceTargetMismatch,
-                             TriangleNotCommuting, UsageError)
+from limitalg import conjugacy, homs
+from limitalg.errors import (InternalError, LimitalgError, ResidualTooLarge,
+                             SourceTargetMismatch, TriangleNotCommuting,
+                             UsageError)
 
-from conftest import random_block_hermitian, random_monomial_unitary, unitary_exp
+import dict_reference as ref
+from conftest import (random_block_hermitian, random_block_permutation,
+                      random_monomial_unitary, unitary_exp)
 
 
 def identity_map(a):
@@ -33,7 +37,6 @@ def twisted_refinement_diagram(rng, stages=3, phases=False, exact=True):
     twists draw fourth roots of unity, or any unimodular phase when exact
     is False.
     """
-    from conftest import random_block_permutation
     tops = [la.tr_algebra(2, 2 ** k) for k in range(stages)]
     conns = [la.refinement_map(2, 2 ** k, 2) for k in range(stages - 1)]
     top = la.DirectSystem(tuple(tops), tuple(conns))
@@ -240,9 +243,6 @@ def test_approx_intertwine_mode_check():
 def test_exact_intertwine_rejects_a_wrong_witness(monkeypatch):
     # a block-preserving witness that does not carry its map onto the
     # connector fails the one exact check of the corrected triangle
-    from limitalg import conjugacy
-    from limitalg.errors import InternalError
-
     def reversing(phi1, phi2, u=None):
         a = phi2.target
         return la.StandardPartialIsometry(
@@ -290,15 +290,36 @@ def _spy(monkeypatch, names) -> Counter:
 
 
 def test_exact_intertwine_calls_per_triangle(monkeypatch):
-    # per triangle: the input check, the standard form after the previous
-    # hat and the final check compose; the outer map and its standard form
-    # are conjugated once each
-    d = twisted_refinement_diagram(np.random.default_rng(13), stages=4,
-                                   phases=True)
-    n = len(list(d.triangles()))
-    calls = _spy(monkeypatch, ("compose", "conjugate_standard"))
-    la.exact_intertwine(d)
-    assert calls == {"compose": 3 * n, "conjugate_standard": 2 * n}
+    # per triangle five tables are built: the standard form after the
+    # previous hat (compose), the outer map and its standard form
+    # (conjugate_standard), and the canonical forms of that composition
+    # and of the connector, which the witness reads; the input and final
+    # checks compare columns and build none, nor does strictify
+    calls = _spy(monkeypatch, ("compose", "conjugate_standard", "strictify"))
+    built = []
+    row_pass = la.StandardRegularMap._row_pass
+
+    def counted(self, *args):
+        built.append(self)
+        row_pass(self, *args)
+
+    monkeypatch.setattr(la.StandardRegularMap, "_row_pass", counted)
+    for phases in (False, True):
+        d = twisted_refinement_diagram(np.random.default_rng(13), stages=4,
+                                       phases=phases)
+        n = len(list(d.triangles()))
+        weighted = sum(not c.is_strict for c in d.bottom.connectors)
+        assert (weighted > 0) == phases
+        calls.clear()
+        del built[:]
+        la.exact_intertwine(d)
+        assert calls == {"compose": n, "conjugate_standard": 2 * n,
+                         "strictify": n + 1}
+        # a weighted connector may meet a composition with other weights
+        # in its final check, which then builds that composition and its
+        # canonical form
+        extra = len(built) - 5 * n
+        assert extra % 2 == 0 and 0 <= extra <= 2 * weighted
 
 
 def _reference_intertwine(d) -> tuple:
@@ -337,3 +358,130 @@ def test_unchecked_chain_matches_the_checked_one(seed, stages):
         _bits(m) for m in hats[0::2] + hats[1::2]]
     assert [_bits(u) for u in out.v_unitaries + out.u_unitaries] == [
         _bits(u) for u in wits[0::2] + wits[1::2]]
+
+
+def _built_strictify(phi) -> tuple:
+    """strictify with its table built by the constructor."""
+    return (la.StandardRegularMap(phi.source, phi.target, phi.src, phi.tgt,
+                                  phi.piece, None, phi.pieces),
+            la.strictify(phi)[1])
+
+
+def _acts_alike(phi, psi) -> bool:
+    """same_action by the dict reference, which shares no fast path."""
+    return ref.same_action(ref.of(phi), ref.of(psi))
+
+
+def _built_restandardize(theta, phi1, phi2) -> tuple:
+    """restandardize_triangle on a standard phi2, building every table it
+    checks and comparing the tables as maps."""
+    got = la.compose(phi2, phi1)
+    if not _acts_alike(got, theta):
+        raise TriangleNotCommuting(la.map_distance(got, theta))
+    b0, d = _built_strictify(phi2)
+    v0 = conjugacy._witness(la.compose(b0, phi1), theta)
+    b = la.conjugate_standard(b0, v0)
+    factors = [v0, d]
+    if not b.is_strict and theta.is_strict and phi1.is_strict:
+        b, strip = _built_strictify(b)
+        factors.insert(0, strip)
+    if not _acts_alike(la.compose(b, phi1), theta):
+        raise InternalError("restandardization failed to verify")
+    return la.Unitary(theta.target.n, factors), b
+
+
+def _built_intertwine(d) -> tuple:
+    """exact_intertwine with every table it checks built and compared as
+    maps: (alphas_hat, betas_hat, v_unitaries, u_unitaries)."""
+    for _, k, inner, outer, conn in d.triangles():
+        got = la.compose(outer, inner)
+        if not _acts_alike(got, conn):
+            raise TriangleNotCommuting(la.map_distance(got, conn), stage=k)
+    first, d1 = _built_strictify(d.alphas[0])
+    hats, wits = [first], [la.Unitary(first.target.n, [d1])]
+    for _, _, _, outer, conn in sorted(
+            d.triangles(), key=lambda t: (t[1], t[0] != "top")):
+        t = la.apply_to_unitary(
+            outer, wits[-1].as_monomial(outer.source).adjoint())
+        corr, std = _built_restandardize(
+            conn, hats[-1], la.conjugate_standard(outer, t))
+        hats.append(std)
+        wits.append(la.Unitary(outer.target.n, list(corr.factors) + [t]))
+    return hats[0::2], hats[1::2], wits[0::2], wits[1::2]
+
+
+def _outcome(run) -> tuple:
+    """("ok", bits of every map and unitary returned), or the error's
+    type, message and data."""
+    try:
+        out = run()
+    except (ValueError, LimitalgError) as e:
+        return type(e).__name__, str(e), getattr(e, "data", None)
+    if isinstance(out, la.CorrectedDiagram):
+        out = (out.alphas_hat, out.betas_hat, out.v_unitaries,
+               out.u_unitaries)
+    return "ok", tuple(_bits(m) if not isinstance(m, (tuple, list))
+                       else tuple(map(_bits, m)) for m in out)
+
+
+def _broken(d, rng, how: str):
+    """d with one crossover moved by a -1 phase or a block permutation of
+    its target, which may break the triangles it is in."""
+    maps = list(d.alphas) + list(d.betas)
+    k = int(rng.integers(len(maps)))
+    a = maps[k].target
+    if how == "phase":
+        j = int(rng.integers(1, a.n + 1))
+        v = la.StandardPartialIsometry(a, {i: i for i in range(1, a.n + 1)},
+                                       {j: -1.0 + 0.0j})
+    else:
+        v = la.PermutationUnitary(
+            a, random_block_permutation(rng, a)).as_partial_isometry()
+    maps[k] = la.conjugate_standard(maps[k], v)
+    na = len(d.alphas)
+    return la.CrossoverDiagram(d.top, d.bottom, maps[:na], maps[na:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.integers(2, 4), st.booleans(),
+       st.sampled_from(["none", "phase", "permutation"]))
+def test_column_checks_match_built_tables(seed, stages, phases, how):
+    # comparing columns before building a table, and strictify keeping its
+    # input's columns, give the bits, or the error, of building every table
+    rng = np.random.default_rng(seed)
+    d = twisted_refinement_diagram(rng, stages=stages, phases=phases)
+    if how != "none":
+        d = _broken(d, rng, how)
+    assert (_outcome(lambda: la.exact_intertwine(d))
+            == _outcome(lambda: _built_intertwine(d)))
+    for _, _, inner, outer, conn in d.triangles():
+        assert (_outcome(lambda: la.restandardize_triangle(conn, inner, outer))
+                == _outcome(lambda: _built_restandardize(conn, inner, outer)))
+
+
+def test_a_connector_in_another_summand_order_still_commutes():
+    # each top connector acts as its beta after its alpha but numbers its
+    # summands the other way round, so the composed columns are not its
+    # own: the checks build the composition and compare canonical forms
+    d = twisted_refinement_diagram(np.random.default_rng(17), stages=3,
+                                   phases=True)
+    conns = tuple(la.assemble_regular(c.summands[::-1], c.source, c.target)
+                  for c in d.top.connectors)
+    top = la.DirectSystem(d.top.stages, conns)
+    turned = la.CrossoverDiagram(top, d.bottom, d.alphas, d.betas)
+    for k, conn in enumerate(conns):
+        cols = homs._compose_columns(d.betas[k], d.alphas[k])
+        assert cols[2:5] != (conn.src, conn.tgt, conn.piece)
+        assert la.same_action(cols, conn)
+    got = _outcome(lambda: la.exact_intertwine(turned))
+    assert got[0] == "ok"
+    assert got == _outcome(lambda: _built_intertwine(turned))
+    for k, conn in enumerate(conns):
+        assert (_outcome(lambda: la.restandardize_triangle(
+            conn, d.alphas[k], d.betas[k]))
+            == _outcome(lambda: _built_restandardize(
+                conn, d.alphas[k], d.betas[k])))
+        # standard_witness's own check falls back the same way
+        v = la.standard_witness(d.top.connector(k), conn)
+        assert la.same_action(la.conjugate_standard(d.top.connector(k), v),
+                              conn)
