@@ -27,6 +27,7 @@ import weakref
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count, repeat
 from typing import Optional
 
 import numpy as np
@@ -44,6 +45,10 @@ class Digraph:
 
 
 def _check_relation(n: int, edges: frozenset) -> None:
+    """Raise the first problem with a relation in scan order: n < 1, the
+    least edge out of range, the least index without its loop, the least
+    transitivity witness (i, j, k). DigraphAlgebra runs it only once one
+    of its set tests has failed."""
     if n < 1:
         raise ValueError("n must be positive")
     bad = [(i, j) for (i, j) in edges if not (1 <= i <= n and 1 <= j <= n)]
@@ -78,6 +83,23 @@ class DigraphAlgebra:
     Do not call directly; use build_digraph_algebra or one of the model
     builders below. The builder returns the live instance for an equal
     relation, so instances compare by identity.
+
+    The relation is validated and its structure built on its blocks. The
+    edges are grouped once into successor sets S(i), and the indices by
+    equal successor set; two lemmas let the groups do the rest.
+
+    * On a reflexive relation, S(i) = S(j) joins i and j both ways (j lies
+      in S(j) = S(i), i in S(i) = S(j)); on a transitive one the converse
+      holds. So on a preorder the groups are the blocks, and numbered by
+      first appearance they come in order of least index.
+    * The relation is transitive exactly when U is a subset of T for every
+      group with successor set T and every successor set U of an index in
+      T, which is one subset test per group.
+
+    The reduced edges, neighbours, C*-classes and class trees then take
+    O(n + reduced edges) Python steps, the per-edge work running in C.
+    Range and reflexivity are set tests too; only when a test fails does
+    _check_relation scan the edges, so the error names the least witness.
     """
 
     __slots__ = ("graph", "blocks", "cstar_classes", "class_trees", "reduced",
@@ -90,64 +112,80 @@ class DigraphAlgebra:
         self._units = None
         self._layout = None
         n, edges = graph.n, graph.edges
-        adj = [set() for _ in range(n + 1)]
-        for (i, j) in edges:
-            if i != j:
-                adj[i].add(j)
-                adj[j].add(i)
+        ids = range(1, n + 1)
+        succ = {i: [] for i in ids}
+        try:
+            for i, j in edges:
+                succ[i].append(j)
+        except KeyError:  # a source out of range
+            _check_relation(n, edges)
+        # the indices grouped by successor set, in order of least index
+        groups = {}
+        for i in ids:
+            groups.setdefault(frozenset(succ[i]), []).append(i)
+        tops = list(groups)
+        if not (n >= 1 and edges.issuperset(zip(ids, ids))
+                and set(ids).issuperset(chain.from_iterable(tops))):
+            _check_relation(n, edges)
+        blocks = tuple(map(tuple, groups.values()))
+        block_of = {i: r for r, blk in enumerate(blocks) for i in blk}
+        # hits[r]: the blocks reached from block r, its reduced successors;
+        # a group that reaches only itself needs no test, T being the
+        # successor set of each of its members
+        hits = [frozenset(map(block_of.__getitem__, t)) for t in tops]
+        if not all(t.issuperset(chain.from_iterable(map(tops.__getitem__, h)))
+                   for t, h in zip(tops, hits) if len(h) > 1):
+            _check_relation(n, edges)
+        self.blocks, self._block_of = blocks, block_of
+        self.reduced = Digraph(len(blocks), frozenset(chain.from_iterable(
+            map(zip, map(repeat, count()), hits))))
 
-        # blocks: mutual-edge classes, ordered by least element; the least
-        # index not yet placed leads its block, whose other members are its
-        # later neighbours joined to it both ways (linear in the edges)
-        seen = [False] * (n + 1)
-        blocks = []
-        for i in range(1, n + 1):
-            if seen[i]:
-                continue
-            cls = sorted([i] + [j for j in adj[i] if j > i
-                                and (i, j) in edges and (j, i) in edges])
-            for j in cls:
-                seen[j] = True
-            blocks.append(tuple(cls))
-        self.blocks = tuple(blocks)
-
-        block_of = {}
-        for r, blk in enumerate(self.blocks):
+        # near[r]: the blocks joined to block r either way, r included; a
+        # block near only itself is a whole C*-class
+        near = list(map(set, hits))
+        for r, h in enumerate(hits):
+            if len(h) > 1:
+                for s in h:
+                    near[s].add(r)
+        nbrs = [()] * (n + 1)
+        for r, blk in enumerate(blocks):
+            row = (blk if len(near[r]) == 1 else tuple(sorted(
+                chain.from_iterable(map(blocks.__getitem__, near[r])))))
             for i in blk:
-                block_of[i] = r
-        self._block_of = block_of
+                k = row.index(i)
+                nbrs[i] = row[:k] + row[k + 1:]
+        self._neighbours = tuple(nbrs)
 
-        # cstar classes: undirected components, each with its BFS tree
-        seen2 = set()
-        classes = []
-        trees = []
-        for i in range(1, n + 1):
-            if i in seen2:
+        # cstar classes, each with its BFS tree. An index and its neighbours
+        # are whole blocks, so a block is found whole among one index's
+        # sorted children; its least index is visited first and finds every
+        # new block near it, and its later indices find none
+        found = [False] * len(blocks)
+        classes, trees = [], []
+        for r0, blk in enumerate(blocks):
+            if found[r0]:
                 continue
-            seen2.add(i)
-            order = [i]
-            tree = []
-            for p in order:
-                for c in sorted(adj[p] - seen2):
-                    seen2.add(c)
-                    tree.append((p, c))
-                    order.append(c)
-            classes.append(tuple(sorted(order)))
+            if len(near[r0]) == 1:
+                classes.append(blk)
+                trees.append(tuple(zip(repeat(blk[0]), blk[1:])))
+                continue
+            found[r0] = True
+            queue, tree = [r0], []
+            for r in queue:
+                new = sorted(s for s in near[r] if not found[s])
+                for s in new:
+                    found[s] = True
+                kids = sorted(chain(blk[1:] if r == r0 else (),
+                                    *map(blocks.__getitem__, new)))
+                tree += zip(repeat(blocks[r][0]), kids)
+                queue += new
+            classes.append(tuple(sorted(chain.from_iterable(
+                map(blocks.__getitem__, queue)))))
             trees.append(tuple(tree))
         self.cstar_classes = tuple(classes)
         self.class_trees = tuple(trees)
-        self._neighbours = tuple(tuple(sorted(a)) for a in adj)
-
-        class_of = {}
-        for c, cls in enumerate(self.cstar_classes):
-            for i in cls:
-                class_of[i] = c
-        self._class_of = class_of
-
-        # reduced digraph on block indices (0-based internally)
-        redges = frozenset((block_of[i], block_of[j]) for (i, j) in edges)
-        self.reduced = Digraph(len(self.blocks), redges)
-        self._block_of_block = tuple(class_of[blk[0]] for blk in self.blocks)
+        self._class_of = {i: c for c, cls in enumerate(classes) for i in cls}
+        self._block_of_block = tuple(self._class_of[blk[0]] for blk in blocks)
 
     # passthrough conveniences
     @property
@@ -306,20 +344,31 @@ _INTERNED = weakref.WeakValueDictionary()
 def build_digraph_algebra(n: int, edges: Iterable) -> DigraphAlgebra:
     """Validate a relation and return the algebra with derived structure.
 
-    Raises NotReflexive(i) or NotTransitive(i,j,k) with the least violating
+    Raises ValueError for n < 1 or an edge out of range (the least one),
+    else NotReflexive(i) or NotTransitive(i,j,k) with the least violating
     witness in scan order. While an algebra on the same relation is alive,
     that same instance is returned.
+
+    The algebra is built on its blocks by two lemmas (see DigraphAlgebra):
+    on a preorder the indices with equal successor sets form the blocks,
+    and a relation is transitive exactly when each such group's successor
+    set contains the successor sets of its members.
     """
     return _interned(n, frozenset((int(i), int(j)) for (i, j) in edges))
 
 
 def _interned(n: int, eset: frozenset) -> DigraphAlgebra:
     """build_digraph_algebra on edges already given as a frozenset of int
-    pairs, so a caller that has checked its rows converts them only once."""
+    pairs, so a caller that has checked its rows converts them only once.
+
+    A new relation is validated and built on its blocks by the two lemmas
+    of DigraphAlgebra: equal successor sets group a preorder's indices
+    into its blocks, and one subset test per group decides transitivity.
+    Only a relation failing a set test is scanned edge by edge.
+    """
     key = (n, eset)
     a = _INTERNED.get(key)
     if a is None:
-        _check_relation(n, eset)
         a = _INTERNED[key] = DigraphAlgebra(Digraph(n, eset))
     return a
 

@@ -9,6 +9,7 @@ byte-identically. Complex scalars travel as [re, im]; integers stay exact.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import json
 import math
@@ -36,6 +37,7 @@ _INT = {int}
 _STR = {str}
 _DICT = {dict}
 _LIST = {list}
+_REAL = {int, float}
 
 
 class _Unhandled(Exception):
@@ -224,22 +226,61 @@ def _by_name(parse):
 
 # algebras
 
+# the algebras of the explicit documents parsed so far in one load, by
+# (n, number of rows), each as (rows, algebra); set afresh by _per_load,
+# and unset outside a load
+_PARSED = contextvars.ContextVar("_PARSED")
+
+
+def _per_load(parse):
+    """parse, with one memo of parsed algebra documents for the call."""
+    @functools.wraps(parse)
+    def with_memo(*args, **kwargs):
+        token = _PARSED.set({})
+        try:
+            return parse(*args, **kwargs)
+        finally:
+            _PARSED.reset(token)
+    return with_memo
+
+
+def _int_pairs(rows) -> bool:
+    """Whether rows is a list of exact-int pairs, by C-level type sets."""
+    return (set(map(type, rows)) <= _LIST and set(map(len, rows)) <= {2}
+            and set(map(type, chain.from_iterable(rows))) <= _INT)
+
+
+def _explicit_algebra(n: int, rows: list) -> DigraphAlgebra:
+    """The algebra of checked rows: the loops added, one frozenset built."""
+    ids = range(1, n + 1)
+    return _interned(n, frozenset(chain(map(tuple, rows), zip(ids, ids))))
+
+
 @_by_name
 def parse_algebra(doc, pointer: str, registry=None) -> DigraphAlgebra:
-    """Named reference, explicit n/edges form, or one of the sugar forms."""
+    """Named reference, explicit n/edges form, or one of the sugar forms.
+
+    Within one load_object or parse_workspace call an explicit document
+    is built once: a later one with equal n and equal rows (one list
+    comparison, in C) reuses its algebra. The rows' types are checked
+    first, as == would take [1.0, 2] or [True, 2] for [1, 2]; a bad row
+    fails at its own pointer, named by the per-row walk.
+    """
     d = _as_dict(doc, pointer)
     if "n" in d:
         n = _as_int(d["n"], pointer + "/n")
         rows = _as_list(d.get("edges", []), pointer + "/edges")
-        if all(type(r) is list and len(r) == 2 and type(r[0]) is int
-               and type(r[1]) is int for r in rows):
-            edges = frozenset(map(tuple, rows))
-        else:
+        if not _int_pairs(rows):
             # the per-row check names the first bad row
-            edges = frozenset(_pair(r, f"{pointer}/edges/{k}")
-                              for k, r in enumerate(rows))
-        # the rows are exact int pairs now, as the builder makes them
-        return _interned(n, edges | {(i, i) for i in range(1, n + 1)})
+            rows = [_pair(r, f"{pointer}/edges/{k}")
+                    for k, r in enumerate(rows)]
+        same = _PARSED.get({}).setdefault((n, len(rows)), [])
+        for seen, a in same:
+            if seen == rows:
+                return a
+        a = _explicit_algebra(n, rows)
+        same.append((rows, a))
+        return a
     if "tr" in d:
         t = _as_dict(d["tr"], pointer + "/tr")
         r = _as_int(t.get("r"), pointer + "/tr/r")
@@ -253,12 +294,9 @@ def parse_algebra(doc, pointer: str, registry=None) -> DigraphAlgebra:
         rows = _as_list(d["summands"], pointer + "/summands")
         if not rows:
             _fail(pointer + "/summands", "need at least one summand")
-        parts = [parse_algebra(r, f"{pointer}/summands/{k}", registry)
-                 for k, r in enumerate(rows)]
-        out = parts[0]
-        for p in parts[1:]:
-            out = direct_sum_algebra(out, p)
-        return out
+        return direct_sum_algebra(*[
+            parse_algebra(r, f"{pointer}/summands/{k}", registry)
+            for k, r in enumerate(rows)])
     if "tensor" in d:
         t = _as_dict(d["tensor"], pointer + "/tensor")
         base = parse_algebra(t.get("base"), pointer + "/tensor/base", registry)
@@ -290,12 +328,15 @@ def _parse_weights(doc, pointer: str) -> dict:
 def _parse_summand(doc, at: str) -> tuple:
     """(iota, weights or None) of one summand row."""
     r = _as_dict(doc, at)
-    iota = {}
-    for q, p in enumerate(_as_list(r.get("pairs"), at + "/pairs")):
-        i, j = _pair(p, f"{at}/pairs/{q}")
-        if i in iota:
-            _fail(f"{at}/pairs/{q}", f"index {i} listed twice")
-        iota[i] = j
+    pairs = _as_list(r.get("pairs"), at + "/pairs")
+    if not _int_pairs(pairs) or len(iota := dict(pairs)) != len(pairs):
+        # the per-pair walk names the first bad or repeated pair
+        iota = {}
+        for q, p in enumerate(pairs):
+            i, j = _pair(p, f"{at}/pairs/{q}")
+            if i in iota:
+                _fail(f"{at}/pairs/{q}", f"index {i} listed twice")
+            iota[i] = j
     if "weights" not in r:
         return iota, None
     weights = _parse_weights(r["weights"], at + "/weights")
@@ -337,8 +378,32 @@ def parse_standard_map(doc, pointer: str,
     return phi
 
 
+def _as_array(mat: list, n: int):
+    """The n x n complex matrix of n rows of n [re, im] cells of exact int
+    or float, converted in one np.array call, or None for anything else:
+    another shape or type, an int too large for a float, or a value that
+    is not finite. float() and the array conversion round alike, so the
+    bits are those of the per-cell walk, signed zeros included."""
+    if not (set(map(type, mat)) <= _LIST and set(map(len, mat)) == {n}):
+        return None
+    cells = list(chain.from_iterable(mat))
+    if not (set(map(type, cells)) <= _LIST and set(map(len, cells)) == {2}
+            and set(map(type, chain.from_iterable(cells))) <= _REAL):
+        return None
+    try:
+        a = np.array(cells, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(a).all():
+        return None
+    return a.view(complex).reshape(n, n)
+
+
 def parse_numeric_map(doc, pointer: str, algebras=None,
                       default_tol: float = DEFAULT_TOL) -> NumericStarMap:
+    """A numeric map; each image matrix whose cells are all [re, im] pairs
+    of exact int or float is read as one array (see _as_array), and any
+    other is walked cell by cell, which names the first bad cell."""
     d = _as_dict(doc, pointer)
     source = parse_algebra(d.get("source"), pointer + "/source", algebras)
     target = parse_algebra(d.get("target"), pointer + "/target", algebras)
@@ -355,16 +420,19 @@ def parse_numeric_map(doc, pointer: str, algebras=None,
         if (i, j) in images:
             _fail(at, f"image of ({i},{j}) listed twice")
         mat = _as_list(r.get("matrix"), at + "/matrix")
-        m = np.zeros((target.n, target.n), dtype=complex)
         if len(mat) != target.n:
             _fail(at + "/matrix", f"expected {target.n} rows, got {len(mat)}")
-        for p, mrow in enumerate(mat):
-            cells = _as_list(mrow, f"{at}/matrix/{p}")
-            if len(cells) != target.n:
-                _fail(f"{at}/matrix/{p}",
-                      f"expected {target.n} columns, got {len(cells)}")
-            for q, cell in enumerate(cells):
-                m[p, q] = _as_complex(cell, f"{at}/matrix/{p}/{q}")
+        m = _as_array(mat, target.n)
+        if m is None:
+            # the per-cell walk names the first bad cell
+            m = np.zeros((target.n, target.n), dtype=complex)
+            for p, mrow in enumerate(mat):
+                cells = _as_list(mrow, f"{at}/matrix/{p}")
+                if len(cells) != target.n:
+                    _fail(f"{at}/matrix/{p}",
+                          f"expected {target.n} columns, got {len(cells)}")
+                for q, cell in enumerate(cells):
+                    m[p, q] = _as_complex(cell, f"{at}/matrix/{p}/{q}")
         images[(i, j)] = m
     return validate_numeric(images, source, target, tol=tol)
 
@@ -517,7 +585,10 @@ class Workspace:
     diagrams: dict = field(default_factory=dict)
 
 
+@_per_load
 def parse_workspace(doc, default_tol: float = DEFAULT_TOL) -> Workspace:
+    """The workspace of a parsed JSON document, each explicit algebra
+    document built once (see parse_algebra)."""
     d = _as_dict(doc, "")
     version = d.get("version", 1)
     if version != 1:
@@ -608,12 +679,14 @@ _BARE_PARSERS = {
 }
 
 
+@_per_load
 def load_object(path: str, kind: str, name: str = None,
                 default_tol: float = DEFAULT_TOL):
     """Read one object of the given kind from a JSON file.
 
     The file may hold the object itself, or a workspace; in the latter case
-    name selects the entry, defaulting to the only one of that kind.
+    name selects the entry, defaulting to the only one of that kind. Each
+    explicit algebra document is built once per call (see parse_algebra).
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

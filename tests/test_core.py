@@ -13,6 +13,7 @@ from limitalg.core import rational_rank
 from limitalg.errors import (NotReflexive, NotTransitive, NotOrthogonal)
 
 from conftest import random_algebra
+from relation_reference import reference_build
 
 
 def test_rejects_non_reflexive():
@@ -63,6 +64,50 @@ def test_relation_check_matches_brute_force(data):
         la.build_digraph_algebra(n, edges)
     assert got.value.args == want.args
     assert got.value.data == want.data
+
+
+def _closed(edges):
+    while True:
+        more = {(i, k) for (i, j) in edges for (jj, k) in edges if j == jj}
+        if more <= edges:
+            return edges
+        edges |= more
+
+
+_BUILT = ("blocks", "cstar_classes", "class_trees", "reduced", "_neighbours",
+          "_block_of", "_class_of", "_block_of_block")
+
+
+def _build_outcome(build, n, edges):
+    try:
+        got = build(n, edges)
+    except Exception as exc:  # the exception itself is the result compared
+        return ("raised", type(exc), exc.args, getattr(exc, "data", None))
+    if not isinstance(got, dict):
+        got = {k: getattr(got, k) for k in _BUILT}
+    return ("built", got)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_block_build_matches_the_edge_by_edge_reference(data):
+    n = data.draw(st.integers(0, 9))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    edges = set(data.draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+    kind = data.draw(st.sampled_from(["preorder", "dropped", "added",
+                                      "arbitrary"]))
+    if kind != "arbitrary":
+        edges = _closed(edges | {(i, i) for i in range(1, n + 1)})
+    if kind == "dropped" and edges:
+        edges.discard(data.draw(st.sampled_from(sorted(edges))))
+    if kind == "added":
+        edges.add(data.draw(st.tuples(st.integers(-1, n + 2),
+                                      st.integers(-1, n + 2))))
+    edges = frozenset(edges)
+    want = _build_outcome(reference_build, n, edges)
+    assert _build_outcome(
+        lambda n, e: core.DigraphAlgebra(core.Digraph(n, e)), n, edges) == want
+    assert _build_outcome(la.build_digraph_algebra, n, edges) == want
 
 
 def test_tr3_structure():
