@@ -92,14 +92,24 @@ class DigraphAlgebra:
       in S(j) = S(i), i in S(i) = S(j)); on a transitive one the converse
       holds. So on a preorder the groups are the blocks, and numbered by
       first appearance they come in order of least index.
-    * The relation is transitive exactly when U is a subset of T for every
-      group with successor set T and every successor set U of an index in
-      T, which is one subset test per group.
+    * A reflexive relation is transitive exactly when, for every group
+      with successor set T, T is the union of the groups it meets and
+      each group it meets meets only groups that T meets. Then the
+      successor set of any j in T lies in the groups j's group meets,
+      all inside T; on a preorder T is a union of blocks and holds S(j).
+      A group meeting only itself passes at once, T being the successor
+      set of each of its members. For any other, the sizes of the groups
+      met must add up to |T|, and the bitmasks of the groups met by the
+      groups it meets must OR to its own.
 
-    The reduced edges, neighbours, C*-classes and class trees then take
-    O(n + reduced edges) Python steps, the per-edge work running in C.
-    Range and reflexivity are set tests too; only when a test fails does
-    _check_relation scan the edges, so the error names the least witness.
+    Grouping, range and reflexivity tests, the reduced edges, neighbours,
+    C*-classes and class trees take O(n + reduced edges) Python steps,
+    the per-edge work running in C. The transitivity test is one add and
+    one OR per reduced edge, each OR over a bitmask of one bit per block,
+    so on a chain of r blocks it is about r^2/2 ORs of r-bit ints, where
+    _check_relation ORs one n-bit mask per edge. Only when a test fails
+    does _check_relation scan the edges, so the error names the least
+    witness.
     """
 
     __slots__ = ("graph", "blocks", "cstar_classes", "class_trees", "reduced",
@@ -129,13 +139,21 @@ class DigraphAlgebra:
             _check_relation(n, edges)
         blocks = tuple(map(tuple, groups.values()))
         block_of = {i: r for r, blk in enumerate(blocks) for i in blk}
-        # hits[r]: the blocks reached from block r, its reduced successors;
-        # a group that reaches only itself needs no test, T being the
-        # successor set of each of its members
+        # hits[r]: the blocks reached from block r, its reduced successors.
+        # A group that reaches only itself needs no test, T being the
+        # successor set of each of its members. Any other, with its hits
+        # as a bitmask reach[r] (bit s for block s), must reach whole
+        # groups (their sizes add up to |T|) and reach what they reach
+        # (one OR per hit that reaches further)
         hits = [frozenset(map(block_of.__getitem__, t)) for t in tops]
-        if not all(t.issuperset(chain.from_iterable(map(tops.__getitem__, h)))
-                   for t, h in zip(tops, hits) if len(h) > 1):
-            _check_relation(n, edges)
+        size = list(map(len, blocks))
+        reach = {r: sum(map((1).__lshift__, h))
+                 for r, h in enumerate(hits) if len(h) > 1}
+        for r, m in reach.items():
+            if (len(tops[r]) != sum(map(size.__getitem__, hits[r]))
+                    or m != functools.reduce(
+                        operator.or_, map(reach.get, hits[r], repeat(0)))):
+                _check_relation(n, edges)
         self.blocks, self._block_of = blocks, block_of
         self.reduced = Digraph(len(blocks), frozenset(chain.from_iterable(
             map(zip, map(repeat, count()), hits))))
@@ -351,8 +369,9 @@ def build_digraph_algebra(n: int, edges: Iterable) -> DigraphAlgebra:
 
     The algebra is built on its blocks by two lemmas (see DigraphAlgebra):
     on a preorder the indices with equal successor sets form the blocks,
-    and a relation is transitive exactly when each such group's successor
-    set contains the successor sets of its members.
+    and a reflexive relation is transitive exactly when each such group's
+    successor set is the union of the groups it meets, and those groups
+    meet only groups it meets.
     """
     return _interned(n, frozenset((int(i), int(j)) for (i, j) in edges))
 
@@ -363,8 +382,9 @@ def _interned(n: int, eset: frozenset) -> DigraphAlgebra:
 
     A new relation is validated and built on its blocks by the two lemmas
     of DigraphAlgebra: equal successor sets group a preorder's indices
-    into its blocks, and one subset test per group decides transitivity.
-    Only a relation failing a set test is scanned edge by edge.
+    into its blocks, and transitivity is decided on the groups, one add
+    and one bitmask OR per reduced edge. Only a relation failing a test
+    is scanned edge by edge.
     """
     key = (n, eset)
     a = _INTERNED.get(key)

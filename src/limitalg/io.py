@@ -37,7 +37,6 @@ _INT = {int}
 _STR = {str}
 _DICT = {dict}
 _LIST = {list}
-_REAL = {int, float}
 
 
 class _Unhandled(Exception):
@@ -328,15 +327,12 @@ def _parse_weights(doc, pointer: str) -> dict:
 def _parse_summand(doc, at: str) -> tuple:
     """(iota, weights or None) of one summand row."""
     r = _as_dict(doc, at)
-    pairs = _as_list(r.get("pairs"), at + "/pairs")
-    if not _int_pairs(pairs) or len(iota := dict(pairs)) != len(pairs):
-        # the per-pair walk names the first bad or repeated pair
-        iota = {}
-        for q, p in enumerate(pairs):
-            i, j = _pair(p, f"{at}/pairs/{q}")
-            if i in iota:
-                _fail(f"{at}/pairs/{q}", f"index {i} listed twice")
-            iota[i] = j
+    iota = {}
+    for q, p in enumerate(_as_list(r.get("pairs"), at + "/pairs")):
+        i, j = _pair(p, f"{at}/pairs/{q}")
+        if i in iota:
+            _fail(f"{at}/pairs/{q}", f"index {i} listed twice")
+        iota[i] = j
     if "weights" not in r:
         return iota, None
     weights = _parse_weights(r["weights"], at + "/weights")
@@ -378,32 +374,8 @@ def parse_standard_map(doc, pointer: str,
     return phi
 
 
-def _as_array(mat: list, n: int):
-    """The n x n complex matrix of n rows of n [re, im] cells of exact int
-    or float, converted in one np.array call, or None for anything else:
-    another shape or type, an int too large for a float, or a value that
-    is not finite. float() and the array conversion round alike, so the
-    bits are those of the per-cell walk, signed zeros included."""
-    if not (set(map(type, mat)) <= _LIST and set(map(len, mat)) == {n}):
-        return None
-    cells = list(chain.from_iterable(mat))
-    if not (set(map(type, cells)) <= _LIST and set(map(len, cells)) == {2}
-            and set(map(type, chain.from_iterable(cells))) <= _REAL):
-        return None
-    try:
-        a = np.array(cells, dtype=float)
-    except OverflowError:
-        return None
-    if not np.isfinite(a).all():
-        return None
-    return a.view(complex).reshape(n, n)
-
-
 def parse_numeric_map(doc, pointer: str, algebras=None,
                       default_tol: float = DEFAULT_TOL) -> NumericStarMap:
-    """A numeric map; each image matrix whose cells are all [re, im] pairs
-    of exact int or float is read as one array (see _as_array), and any
-    other is walked cell by cell, which names the first bad cell."""
     d = _as_dict(doc, pointer)
     source = parse_algebra(d.get("source"), pointer + "/source", algebras)
     target = parse_algebra(d.get("target"), pointer + "/target", algebras)
@@ -420,19 +392,16 @@ def parse_numeric_map(doc, pointer: str, algebras=None,
         if (i, j) in images:
             _fail(at, f"image of ({i},{j}) listed twice")
         mat = _as_list(r.get("matrix"), at + "/matrix")
+        m = np.zeros((target.n, target.n), dtype=complex)
         if len(mat) != target.n:
             _fail(at + "/matrix", f"expected {target.n} rows, got {len(mat)}")
-        m = _as_array(mat, target.n)
-        if m is None:
-            # the per-cell walk names the first bad cell
-            m = np.zeros((target.n, target.n), dtype=complex)
-            for p, mrow in enumerate(mat):
-                cells = _as_list(mrow, f"{at}/matrix/{p}")
-                if len(cells) != target.n:
-                    _fail(f"{at}/matrix/{p}",
-                          f"expected {target.n} columns, got {len(cells)}")
-                for q, cell in enumerate(cells):
-                    m[p, q] = _as_complex(cell, f"{at}/matrix/{p}/{q}")
+        for p, mrow in enumerate(mat):
+            cells = _as_list(mrow, f"{at}/matrix/{p}")
+            if len(cells) != target.n:
+                _fail(f"{at}/matrix/{p}",
+                      f"expected {target.n} columns, got {len(cells)}")
+            for q, cell in enumerate(cells):
+                m[p, q] = _as_complex(cell, f"{at}/matrix/{p}/{q}")
         images[(i, j)] = m
     return validate_numeric(images, source, target, tol=tol)
 

@@ -95,9 +95,19 @@ def test_block_build_matches_the_edge_by_edge_reference(data):
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     edges = set(data.draw(st.sets(st.sampled_from(pairs))) if pairs else ())
     kind = data.draw(st.sampled_from(["preorder", "dropped", "added",
-                                      "arbitrary"]))
-    if kind != "arbitrary":
-        edges = _closed(edges | {(i, i) for i in range(1, n + 1)})
+                                      "reflexive", "chain", "arbitrary"]))
+    if kind == "chain":
+        # T_r (x) M_size, every block reaching a chain of blocks, whole or
+        # with one edge dropped
+        size = data.draw(st.sampled_from([s for s in (1, 2, 3)
+                                          if n % s == 0]))
+        edges = set(la.tr_algebra(n // size, size).edges) if n else set()
+        if edges and data.draw(st.booleans()):
+            edges.discard(data.draw(st.sampled_from(sorted(edges))))
+    elif kind != "arbitrary":
+        edges |= {(i, i) for i in range(1, n + 1)}
+    if kind in ("preorder", "dropped", "added"):
+        edges = _closed(edges)
     if kind == "dropped" and edges:
         edges.discard(data.draw(st.sampled_from(sorted(edges))))
     if kind == "added":

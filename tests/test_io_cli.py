@@ -3,12 +3,10 @@
 import copy
 import itertools
 import json
-import math
 import os
 import runpy
 import subprocess
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -993,72 +991,6 @@ def test_a_loaded_tower_builds_and_parses_each_document_once(
     assert iolib._PARSED.get(None) is None
 
 
-# numeric image matrices: the array read against the per-cell walk
-
-def _images_outcome(doc, walk):
-    images = {}
-
-    def capture(got, source, target, tol):
-        images.update(got)
-
-    with mock.patch.object(iolib, "validate_numeric", capture), \
-            mock.patch.object(iolib, "_as_array",
-                              (lambda mat, n: None) if walk
-                              else iolib._as_array):
-        try:
-            iolib.parse_numeric_map(doc, "/m")
-        except Exception as exc:  # the exception itself is the result
-            return ("raised", type(exc), exc.args, getattr(exc, "data", None))
-    return ("images", [(k, m.dtype, m.shape, m.tobytes())
-                       for k, m in images.items()])
-
-
-_reals = st.one_of(
-    st.integers(-2 ** 70, 2 ** 70), st.floats(allow_nan=False,
-                                              allow_infinity=False),
-    st.sampled_from([0, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-308,
-                     2 ** 53 + 1, 2 ** 64 + 1, 2 ** 1024 - 2 ** 971]))
-_bad_cells = st.one_of(
-    st.sampled_from([10 ** 400, -10 ** 400, 2 ** 1024 - 2 ** 970, math.nan,
-                     math.inf, True, False, "x", None, {}]),
-    st.lists(_reals, max_size=3), _reals)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_numeric_matrices_read_as_arrays_as_cell_by_cell(data):
-    n = data.draw(st.integers(1, 3))
-    mat = [[data.draw(st.lists(_reals, min_size=2, max_size=2))
-            for _ in range(n)] for _ in range(n)]
-    where = data.draw(st.sampled_from(["none", "cell", "part", "row"]))
-    p, q = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-    if where == "cell":
-        mat[p][q] = data.draw(_bad_cells)
-    elif where == "part":
-        mat[p][q][data.draw(st.integers(0, 1))] = data.draw(_bad_cells)
-    elif where == "row":
-        mat[p] = data.draw(st.sampled_from([mat[p][1:], mat[p] + mat[p][:1],
-                                            "row", None]))
-    doc = {"source": {"diagonal": 1}, "target": {"n": n},
-           "images": [{"i": 1, "j": 1, "matrix": mat}]}
-    assert _images_outcome(doc, False) == _images_outcome(doc, True)
-
-
-def test_numeric_map_files_parse_to_the_same_stack_bytes():
-    from conftest import random_block_hermitian, unitary_exp
-    rng = np.random.default_rng(7)
-    phi = la.to_numeric(la.refinement_map(2, 1, 2))
-    moved = la.conjugate_numeric(
-        unitary_exp(random_block_hermitian(rng, phi.target), 0.7), phi)
-    for m in (phi, moved):
-        doc = json.loads(iolib.canonical_dumps(iolib.encode_map(m)))
-        got = iolib.parse_map(doc, "")
-        with mock.patch.object(iolib, "_as_array", lambda mat, n: None):
-            want = iolib.parse_map(doc, "")
-        assert got.stack.tobytes() == want.stack.tobytes()
-        assert got.stack.tobytes() == m.stack.tobytes()
-
-
 # the command-line parser is built once and reused
 
 def test_cli_parser_reused_across_verbs(tmp_path, capsys, monkeypatch):
@@ -1276,32 +1208,3 @@ def test_documents_under_one_field_mutations_fail_typed(kind):
                 pytest.fail(f"{kind} {path} <- {value!r}: "
                             f"{type(exc).__name__}: {exc}")
 
-
-def _reference_summand_pairs(doc, at):
-    """_parse_summand's pairs as the per-pair walk reads them."""
-    iota = {}
-    r = iolib._as_dict(doc, at)
-    for q, p in enumerate(iolib._as_list(r.get("pairs"), at + "/pairs")):
-        i, j = iolib._pair(p, f"{at}/pairs/{q}")
-        if i in iota:
-            iolib._fail(f"{at}/pairs/{q}", f"index {i} listed twice")
-        iota[i] = j
-    return iota
-
-
-@settings(max_examples=300, deadline=None)
-@given(_fuzz_summand)
-def test_summand_pairs_read_in_bulk_as_pair_by_pair(row):
-    def outcome(f):
-        try:
-            return ("iota", list(f(row, "/s").items()))
-        except Exception as exc:  # the exception itself is the result
-            return ("raised", type(exc), exc.args, getattr(exc, "data", None))
-
-    def pairs_only(doc, at):
-        iota, _ = iolib._parse_summand(
-            {"pairs": doc["pairs"]} if isinstance(doc, dict) and "pairs" in doc
-            else doc, at)
-        return iota
-
-    assert outcome(pairs_only) == outcome(_reference_summand_pairs)
